@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint typecheck chaos stats serve-demo bench-smoke bench-smoke-ci bench-scaling bench-churn bench-traffic bench-pipeline bench-mobility bench-faults bench-obs bench-service bench-congestion help
+.PHONY: test test-all lint typecheck chaos stats serve-demo perfbench perfbench-compare bench-smoke bench-smoke-ci bench-scaling bench-churn bench-traffic bench-pipeline bench-mobility bench-faults bench-obs bench-service bench-congestion help
 
 help:
 	@echo "make test           - tier-1 test suite (tests/ + benchmarks/, -x -q; slow cells skipped)"
@@ -15,6 +15,8 @@ help:
 	@echo "make chaos          - randomized fault campaign (500 events) with per-batch invariant checks"
 	@echo "make stats          - instrumented quick traffic run: metrics registry + span flame summary"
 	@echo "make serve-demo     - long-lived engine service demo: seeded event stream + checkpoints in ./service-demo"
+	@echo "make perfbench      - the end-to-end benchmark (BENCHMARK.json): every workload, one result line each (SEED=, TRACE=0|1)"
+	@echo "make perfbench-compare PARENT=dir CHANGE=dir - paired parent-vs-change benchmark runs with per-metric verdicts"
 	@echo "make bench-smoke    - benchmark suite at the reduced REPRO_TRIALS budget"
 	@echo "make bench-smoke-ci - scaling + churn + traffic + pipeline + mobility + obs benchmarks (the CI smoke job)"
 	@echo "make bench-scaling  - the full N=200..5000 distance-oracle scaling sweep"
@@ -51,6 +53,24 @@ stats:
 
 serve-demo:
 	$(PYTHON) -m repro.cli serve --events $${EVENTS:-200} --seed $${SEED:-7} --dir $${DIR:-service-demo}
+
+# The end-to-end benchmark declared in BENCHMARK.json: workloads and run
+# length come from that file, so the targets never drift from it.
+BENCH_WORKLOADS = $(shell $(PYTHON) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+BENCH_SECONDS = $(shell $(PYTHON) -c "import json; print(json.load(open('BENCHMARK.json'))['run_seconds'])")
+
+perfbench:
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed $${SEED:-1} \
+			--seconds $(BENCH_SECONDS) --trace $${TRACE:-0}) || exit 1; \
+		echo "$$w $$(echo "$$out" | tail -n 1)"; \
+	done
+
+perfbench-compare:
+	@if [ -z "$(PARENT)" ] || [ -z "$(CHANGE)" ]; then \
+		echo "usage: make perfbench-compare PARENT=<checkout> CHANGE=<checkout>"; exit 2; \
+	fi
+	$(PYTHON) perfbench/compare.py $(PARENT) $(CHANGE)
 
 bench-smoke:
 	REPRO_TRIALS=$${REPRO_TRIALS:-2} $(PYTHON) -m pytest benchmarks -q

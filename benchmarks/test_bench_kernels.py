@@ -12,6 +12,7 @@ from repro.core.neighbor import ancr_neighbors
 from repro.core.pipeline import build_backbone
 from repro.net.graph import Graph
 from repro.net.topology import random_topology
+from tests.reference import all_pairs_hops
 
 
 def test_bench_topology_generation(benchmark):
@@ -24,14 +25,15 @@ def test_bench_hop_distances(benchmark):
 
     def build_and_measure():
         g = Graph(200, edges)  # fresh graph: cold cache
-        return g.hop_distances
+        return g.oracle.rows(range(200))  # batched bit-packed sweeps
 
-    benchmark(build_and_measure)
+    matrix = benchmark(build_and_measure)
+    assert (matrix == all_pairs_hops(topo.graph)).all()
 
 
 def test_bench_khop_clustering(benchmark):
     topo = random_topology(200, 6.0, seed=13)
-    topo.graph.hop_distances  # warm the distance cache
+    topo.graph.oracle.prepare_balls(topo.graph.nodes(), 2)  # warm the ball cache
 
     result = benchmark(lambda: khop_cluster(topo.graph, 2))
     assert result.num_clusters > 0

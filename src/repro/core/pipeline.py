@@ -205,8 +205,8 @@ def run_pipeline(
         priority: clusterhead priority scheme (default lowest-ID).
         membership: join policy (default ID-based).
         distance_backend: force the hop-distance backend for this call
-            (``"dense"``/``"lazy"``/``"auto"``); the graph's own policy is
-            restored afterwards (dense for small n, lazy CSR above).
+            (``"lazy"``/``"landmark"``/``"auto"``); the graph's own policy
+            is restored afterwards.
     """
     graph = network.graph if isinstance(network, Topology) else network
     ctx = (

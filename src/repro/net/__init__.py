@@ -25,11 +25,9 @@ from .labeling import LandmarkDistanceOracle
 from .mobility import ChurnProcess, RandomWaypoint
 from .oracle import (
     BATCH_BITS,
-    DENSE_AUTO_MAX,
     DIST_DTYPE,
     MAX_ORACLE_NODES,
     ByteBudgetLRU,
-    DenseDistanceOracle,
     DistanceOracle,
     LazyDistanceOracle,
     OracleStats,
@@ -49,14 +47,12 @@ __all__ = [
     "Graph",
     "UNREACHABLE",
     "DistanceOracle",
-    "DenseDistanceOracle",
     "LazyDistanceOracle",
     "LandmarkDistanceOracle",
     "OracleStats",
     "ByteBudgetLRU",
     "build_distance_oracle",
     "multi_source_bfs",
-    "DENSE_AUTO_MAX",
     "MAX_ORACLE_NODES",
     "DIST_DTYPE",
     "BATCH_BITS",

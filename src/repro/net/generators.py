@@ -115,7 +115,7 @@ def ring_of_cliques(cliques: int, clique_size: int) -> Graph:
     Clique ``i`` occupies nodes ``i*s .. (i+1)*s - 1``; its node 0 links to
     the next clique's node 0.  A deterministic large-N scenario with heavy
     local density and long global distances — the regime where lazy
-    ball-based clustering shines and the dense matrix hurts most.
+    ball-based clustering shines and all-pairs rows would hurt most.
     """
     if cliques < 3 or clique_size < 1:
         raise InvalidParameterError("need cliques >= 3 and clique_size >= 1")

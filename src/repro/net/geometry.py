@@ -3,9 +3,10 @@
 The paper deploys ``N`` nodes uniformly at random in a restricted
 ``100 x 100`` area and assumes every node has the same transmission range.
 This module provides the vectorized geometric primitives that the topology
-generator builds on: uniform placement, pairwise Euclidean distances, and
-disk membership tests.  Everything is NumPy-vectorized; no Python-level
-double loops over node pairs.
+generator builds on: uniform placement and pairwise Euclidean distances
+(the unit-disk edge rule itself lives in :mod:`repro.net.topology`).
+Everything is NumPy-vectorized; no Python-level double loops over node
+pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "random_positions",
     "grid_positions",
     "pairwise_distances",
-    "pairs_within",
     "nearest_neighbor_distances",
     "bounding_box",
 ]
@@ -77,27 +77,14 @@ def grid_positions(rows: int, cols: int, spacing: float = 1.0) -> np.ndarray:
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Full ``(n, n)`` Euclidean distance matrix.
 
-    For the network sizes of the paper (N <= 200) the dense matrix is both
-    the fastest and the simplest representation; avoid it for n >> 10^4.
+    O(n²) memory: for small position sets (nearest-neighbor distances,
+    tests), never on the unit-disk edge path.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise InvalidParameterError(f"positions must have shape (n, 2), got {pos.shape}")
     diff = pos[:, None, :] - pos[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def pairs_within(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
-    """All unordered node pairs at Euclidean distance ``<= radius``.
-
-    This is exactly the unit-disk edge set for transmission range ``radius``.
-    """
-    if radius < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-    dist = pairwise_distances(positions)
-    iu, ju = np.triu_indices(dist.shape[0], k=1)
-    mask = dist[iu, ju] <= radius
-    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
 
 
 def nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:

@@ -4,25 +4,22 @@ Every algorithm in the paper is defined in terms of *hop distances* in the
 original network ``G``: k-hop neighborhoods for clustering, 2k+1-hop
 neighborhoods for neighbor-clusterhead discovery, and hop-count "virtual
 distances" between clusterheads.  :class:`Graph` answers all of those
-queries through a :class:`~repro.net.oracle.DistanceOracle`, of which three
+queries through a :class:`~repro.net.oracle.DistanceOracle`, of which two
 interchangeable backends exist (see :mod:`repro.net.oracle` for the full
 selection guide):
 
-* **dense** — the all-pairs ``(n, n)`` int32 matrix materialized by the
-  bit-packed batched BFS kernel; fastest at the paper's scales (N <= a few
-  hundred) and the default up to :data:`~repro.net.oracle.DENSE_AUTO_MAX`
-  nodes.
 * **lazy** — CSR adjacency arrays plus on-demand per-source BFS rows
-  (batched through the same kernel) and depth-limited balls under
-  byte-budgeted LRU caches; sub-quadratic memory, the default for larger
-  graphs.
+  (batched through the bit-packed kernel) and depth-limited balls under
+  byte-budgeted LRU caches; sub-quadratic memory, the default at every
+  size.
 * **landmark** — the lazy machinery plus exact pruned landmark labels
   (:mod:`repro.net.labeling`); pair distances in O(|label|) for
   pair-heavy consumers.
 
-Call :meth:`Graph.use_distance_backend` to force a backend;
-:attr:`Graph.hop_distances` remains as the small-n/compatibility API and
-always materializes the dense matrix.
+Call :meth:`Graph.use_distance_backend` to force a backend.  No query
+materializes an all-pairs matrix; connectivity (:meth:`Graph.is_connected`,
+:meth:`Graph.connected_components`) runs on the CSR arrays through
+:func:`component_labels` without touching an oracle.
 
 Design notes
 ------------
@@ -63,11 +60,34 @@ from ..types import DistArray, Edge, IndexArray, NodeId, normalize_edge
 from .oracle import (
     UNREACHABLE,
     DistanceOracle,
+    _csr_bfs,
     build_distance_oracle,
     resolve_backend,
 )
 
-__all__ = ["Graph", "UNREACHABLE"]
+__all__ = ["Graph", "UNREACHABLE", "component_labels"]
+
+
+def component_labels(indptr: IndexArray, indices: IndexArray) -> IndexArray:
+    """Connected-component label of every node: its component's lowest ID.
+
+    The one connectivity kernel behind :meth:`Graph.is_connected`,
+    :meth:`Graph.connected_components` and the topology sampler's
+    rejection test, over CSR arrays ``(indptr, indices)`` (neighbor order
+    within a slice is irrelevant).  Isolated nodes label themselves in one
+    vectorized step; every other component costs one level-synchronous
+    CSR BFS from its lowest node, so a connected graph costs exactly one
+    BFS.  The graph is connected iff no label is non-zero.
+    """
+    n = indptr.size - 1
+    labels = np.arange(n, dtype=np.int64)
+    pending = np.flatnonzero(np.diff(indptr) > 0)
+    while pending.size:
+        root = int(pending[0])
+        _, visited = _csr_bfs(indptr, indices, n, root)
+        labels[visited] = root
+        pending = pending[labels[pending] != root]
+    return labels
 
 
 class Graph:
@@ -192,10 +212,9 @@ class Graph:
         """The distance oracle for ``backend`` (created once per backend).
 
         ``backend=None`` uses the graph's current default: the backend set
-        via :meth:`use_distance_backend`, else the auto policy (dense for
-        small n, lazy above :data:`~repro.net.oracle.DENSE_AUTO_MAX`).
+        via :meth:`use_distance_backend`, else the auto policy (lazy).
         """
-        name = resolve_backend(backend or self._backend, self._n)
+        name = resolve_backend(backend or self._backend)
         oracle = self._oracles.get(name)
         if oracle is None:
             oracle = build_distance_oracle(self, name)
@@ -203,11 +222,11 @@ class Graph:
         return oracle
 
     def use_distance_backend(self, backend: str) -> "Graph":
-        """Pin the default distance backend (``"dense"``/``"lazy"``/``"auto"``).
+        """Pin the default distance backend (``"lazy"``/``"landmark"``/``"auto"``).
 
         Returns ``self`` for chaining; existing per-backend caches are kept.
         """
-        resolve_backend(backend, self._n)  # validate early
+        resolve_backend(backend)  # validate early
         self._backend = None if backend == "auto" else backend
         return self
 
@@ -233,37 +252,11 @@ class Graph:
     @property
     def distance_backend(self) -> str:
         """Name of the backend the default oracle uses."""
-        return resolve_backend(self._backend, self._n)
-
-    @property
-    def dense_materialized(self) -> bool:
-        """Whether an O(n²) dense matrix has been computed for this graph.
-
-        Benchmarks assert this stays ``False`` on the lazy path.
-        """
-        from .oracle import DenseDistanceOracle
-
-        dense = self._oracles.get("dense")
-        return isinstance(dense, DenseDistanceOracle) and dense.materialized
+        return resolve_backend(self._backend)
 
     # ------------------------------------------------------------------ #
     # hop distances
     # ------------------------------------------------------------------ #
-
-    @property
-    def hop_distances(self) -> DistArray:
-        """All-pairs hop-distance matrix, shape ``(n, n)``, dtype int32.
-
-        Compatibility/small-n API: this always materializes the **dense**
-        backend's O(n²) matrix, whatever the default backend is.  Scalable
-        code should use :meth:`bfs_distances`, :meth:`khop_neighbors` or
-        the oracle's ``ball`` queries instead.
-        """
-        from .oracle import DenseDistanceOracle
-
-        dense = self.distance_oracle("dense")
-        assert isinstance(dense, DenseDistanceOracle)
-        return dense.matrix
 
     def bfs_distances(self, source: NodeId) -> DistArray:
         """Hop distances from ``source`` to every node (read-only int32)."""
@@ -280,19 +273,14 @@ class Graph:
     def diameter(self) -> int:
         """Graph diameter; raises on disconnected graphs.
 
-        On the dense backend this is one ``matrix.max()``; on the lazy
-        backend it streams one BFS row per node — O(n·(n+m)) time but
-        never O(n²) resident memory.
+        Streams one BFS row per node — O(n·(n+m)) time but never O(n²)
+        resident memory.
         """
         if not self.is_connected():
             raise DisconnectedGraphError("diameter of a disconnected graph")
         if self._n == 0:
             return 0
-        from .oracle import DenseDistanceOracle
-
         oracle = self.oracle
-        if isinstance(oracle, DenseDistanceOracle):
-            return int(oracle.matrix.max())
         return max(oracle.eccentricity(u) for u in range(self._n))
 
     # ------------------------------------------------------------------ #
@@ -341,35 +329,21 @@ class Graph:
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph counts as connected).
 
-        Uses a plain adjacency-list BFS so connectivity filtering of
-        candidate topologies never triggers the distance machinery.
+        Runs on the CSR arrays (:func:`component_labels`), so connectivity
+        checks never trigger the distance machinery.
         """
         if self._n <= 1:
             return True
-        seen = np.zeros(self._n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self._n
+        return not component_labels(*self.csr_adjacency).any()
 
     def connected_components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted node tuples, largest first."""
-        comps: list[tuple[int, ...]] = []
-        seen = np.zeros(self._n, dtype=bool)
-        oracle = self.oracle
-        for u in range(self._n):
-            if seen[u]:
-                continue
-            members = np.flatnonzero(oracle.row(u) < UNREACHABLE)
-            seen[members] = True
-            comps.append(tuple(members.tolist()))
+        if self._n == 0:
+            return []
+        labels = component_labels(*self.csr_adjacency)
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        comps = [tuple(c.tolist()) for c in np.split(order, cuts)]
         comps.sort(key=lambda c: (-len(c), c))
         return comps
 
@@ -460,8 +434,7 @@ class Graph:
 
         ``inherit(child, parent)`` seeds the freshly constructed child
         oracle (same class and cache budgets as the parent) with whatever
-        of the parent's caches survives the structural change.  Dense
-        oracles are never carried (their matrix is monolithic).
+        of the parent's caches survives the structural change.
         """
         from .oracle import LazyDistanceOracle
 

@@ -18,7 +18,7 @@ roots' BFS prune almost immediately.  Because every vertex is processed,
 the resulting labels are **exact** for all pairs (same-component queries
 return the true hop distance, cross-component queries return
 :data:`~repro.net.oracle.UNREACHABLE`), so the backend is observationally
-identical to ``dense``/``lazy`` — the property tests enforce this.
+identical to ``lazy`` — the property tests enforce this.
 
 Queries join the two sorted label arrays in O(|label(u)| + |label(v)|)
 without materializing any BFS row.  Ball and row queries fall back to the

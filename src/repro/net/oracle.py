@@ -5,19 +5,15 @@ but the algorithms differ wildly in *how much* of the distance structure
 they touch: clustering and the neighbor rules only ever look at small
 ``O(Δ^k)`` balls around nodes, path construction needs full BFS rows from
 a handful of clusterheads, and routing/maintenance validation asks for
-single pair distances.  The seed implementation served everything from one
-dense ``(n, n)`` all-pairs matrix — an O(n²) memory/time wall.
+single pair distances.  None of them needs the dense ``(n, n)``
+all-pairs matrix, so no backend builds one.
 
 Backend-selection guide
 -----------------------
-Three interchangeable backends answer the same query interface; pick (or
-let ``backend="auto"`` pick) by workload shape:
+Two interchangeable backends answer the same query interface and return
+identical results; pick one by workload shape (``backend="auto"`` picks
+lazy at every size):
 
-* ``"dense"`` (:class:`DenseDistanceOracle`) — materializes the full
-  all-pairs matrix once, via the batched bit-packed BFS kernel.  O(n²)
-  memory; unbeatable query latency.  Right for n up to a few hundred
-  (the paper's scales) or when *every* pair will be consulted anyway.
-  The auto policy uses it up to :data:`DENSE_AUTO_MAX` nodes.
 * ``"lazy"`` (:class:`LazyDistanceOracle`) — keeps only CSR adjacency
   arrays and computes distance **rows** (full single-source BFS) and
   **balls** (depth-limited BFS) on demand, caching both under
@@ -26,9 +22,9 @@ let ``backend="auto"`` pick) by workload shape:
   :func:`multi_source_bfs` — a bit-packed kernel that advances up to
   :data:`BATCH_BITS` sources per sweep, one uint64 frontier word-block
   per node, so warm-up is no longer n sequential BFS runs.  Memory is
-  O(m + budgets).  The auto default above :data:`DENSE_AUTO_MAX` nodes;
-  right for ball-heavy pipelines (clustering, neighbor rules, CDS
-  verification) at any n.
+  O(m + budgets).  The default; right for ball-heavy pipelines
+  (clustering, neighbor rules, CDS verification) at any n, the paper's
+  scales included, where it computes only head rows and balls.
 * ``"landmark"`` (:class:`~repro.net.labeling.LandmarkDistanceOracle`) —
   a lazy oracle plus exact pruned landmark labels built from
   degree-ranked roots; answers ``distance(u, v)`` by a sorted label join
@@ -106,13 +102,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids circular import
 __all__ = [
     "UNREACHABLE",
     "MAX_ORACLE_NODES",
-    "DENSE_AUTO_MAX",
     "DIST_DTYPE",
     "BATCH_BITS",
     "ByteBudgetLRU",
     "OracleStats",
     "DistanceOracle",
-    "DenseDistanceOracle",
     "LazyDistanceOracle",
     "gather_csr_neighbors",
     "multi_source_bfs",
@@ -131,11 +125,6 @@ UNREACHABLE: int = int(np.iinfo(DIST_DTYPE).max)
 #: :data:`UNREACHABLE` sentinel (a path visits each node at most once, so
 #: hop distances are <= n - 1 < 2**31 - 1).  Previously 32766 (int16).
 MAX_ORACLE_NODES: int = UNREACHABLE - 1
-
-#: ``backend="auto"`` uses the dense matrix up to this many nodes — at the
-#: paper's scales the one-shot batched sweep beats per-source BFS — and
-#: the lazy CSR backend above it.
-DENSE_AUTO_MAX: int = 512
 
 #: Default byte budget for the lazy backend's cached BFS rows (~16 MiB).
 DEFAULT_ROW_CACHE_BYTES: int = 16 << 20
@@ -160,7 +149,7 @@ class OracleStats:
     """Introspection counters for benchmarks and memory assertions.
 
     Attributes:
-        backend: ``"dense"``, ``"lazy"``, ``"landmark"`` or ``"path-cache"``.
+        backend: ``"lazy"``, ``"landmark"`` or ``"path-cache"``.
         rows_computed: full BFS rows computed so far.
         row_hits: row queries answered from cache.
         balls_computed: depth-limited BFS balls computed so far.
@@ -427,8 +416,8 @@ class DistanceOracle:
     def prepare_balls(self, sources: Sequence[NodeId], radius: int) -> int:
         """Warm the ``radius``-ball cache for many sources in one pass.
 
-        A hint, not a query: backends without a ball cache (dense) ignore
-        it; the lazy backend batches the missing sources through the
+        A hint, not a query: backends without a ball cache ignore it; the
+        lazy backend batches the missing sources through the
         bit-packed depth-limited kernel so a following per-source
         :meth:`ball` sweep — e.g. the clustering declaration phase — hits
         the cache instead of running one Python-level BFS per node.
@@ -619,119 +608,6 @@ def multi_source_bfs(
         visited |= nxt
         frontier = nxt
         active = np.flatnonzero(nxt.any(axis=1))
-
-
-# --------------------------------------------------------------------- #
-# dense backend
-# --------------------------------------------------------------------- #
-
-
-class DenseDistanceOracle(DistanceOracle):
-    """All-pairs matrix backend (the seed behavior), for small ``n``.
-
-    The matrix is materialized once by the bit-packed batched BFS kernel
-    (:func:`multi_source_bfs`) in :data:`BATCH_BITS`-source sweeps —
-    O(n/64 · (n + m) · diameter) word operations instead of the seed's
-    O(n² · diameter) boolean matrix products — but remains O(n²) memory
-    and is therefore the auto choice only up to :data:`DENSE_AUTO_MAX`.
-    """
-
-    backend = "dense"
-
-    def __init__(self, graph: "Graph") -> None:
-        super().__init__(graph)
-        self._matrix: np.ndarray | None = None
-        self._sweeps = 0
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the O(n²) matrix has been computed yet."""
-        return self._matrix is not None
-
-    @property
-    def matrix(self) -> DistArray:
-        """The full ``(n, n)`` int32 hop-distance matrix (computed once)."""
-        if self._matrix is None:
-            matrix, self._sweeps = _dense_all_pairs(self._graph)
-            self._matrix = _readonly(matrix)
-        return self._matrix
-
-    def row(self, source: NodeId) -> DistArray:
-        return self.matrix[source]
-
-    def cached_row(self, source: NodeId) -> DistArray | None:
-        return self._matrix[source] if self._matrix is not None else None
-
-    def rows(self, sources: Sequence[NodeId]) -> DistArray:
-        if len(sources) == 0:
-            return np.zeros((0, self._graph.n), dtype=DIST_DTYPE)
-        return self.matrix[np.asarray(sources, dtype=np.intp)]
-
-    def distance(self, u: NodeId, v: NodeId) -> int:
-        return int(self.matrix[u, v])
-
-    def pairwise_distances(self, nodes: Sequence[NodeId]) -> DistArray:
-        idx = np.asarray([int(x) for x in nodes], dtype=np.intp)
-        return self.matrix[np.ix_(idx, idx)]
-
-    def ball(self, source: NodeId, radius: int) -> Tuple[IndexArray, DistArray]:
-        _check_radius(radius)
-        return _ball_from_row(self.matrix[source], radius)
-
-    def stats(self) -> OracleStats:
-        nbytes = self._matrix.nbytes if self._matrix is not None else 0
-        n = self._graph.n
-        return OracleStats(
-            backend=self.backend,
-            rows_computed=n if self._matrix is not None else 0,
-            row_hits=0,
-            balls_computed=0,
-            ball_hits=0,
-            cached_bytes=nbytes,
-            peak_cached_bytes=nbytes,
-            batched_sweeps=self._sweeps,
-            # Dense oracles never inherit: lineage == own totals.
-            lineage_rows_computed=n if self._matrix is not None else 0,
-        )
-
-
-def _locality_order(
-    indptr: np.ndarray, indices: np.ndarray, n: int
-) -> np.ndarray:
-    """Order nodes so consecutive batches are graph-local (double sweep).
-
-    Sources batched into one bit-packed sweep share frontier state, so
-    the sweep is cheapest when their BFS wavefronts overlap.  Sorting
-    nodes lexicographically by hop distance from two mutually far
-    landmarks (found by the classic double-sweep heuristic) makes each
-    :data:`BATCH_BITS`-node slice spatially compact — measured ~25%
-    faster full materialization at n=5000 for ~3 extra BFS of setup.
-    """
-    d0, _ = _csr_bfs(indptr, indices, n, 0)
-    a = int(np.argmax(np.where(d0 < UNREACHABLE, d0, -1)))
-    d_a, _ = _csr_bfs(indptr, indices, n, a)
-    b = int(np.argmax(np.where(d_a < UNREACHABLE, d_a, -1)))
-    d_b, _ = _csr_bfs(indptr, indices, n, b)
-    return np.lexsort((np.arange(n), d_b, d_a))
-
-
-def _dense_all_pairs(graph: "Graph") -> tuple[np.ndarray, int]:
-    """All-pairs matrix via batched bit-packed BFS; returns (matrix, sweeps)."""
-    n = graph.n
-    if n == 0:
-        return np.zeros((0, 0), dtype=DIST_DTYPE), 0
-    indptr, indices = graph.csr_adjacency
-    out = np.empty((n, n), dtype=DIST_DTYPE)
-    if n > BATCH_BITS:
-        order = _locality_order(indptr, indices, n)
-    else:
-        order = np.arange(n)
-    sweeps = 0
-    for start in range(0, n, BATCH_BITS):
-        chunk = order[start : min(start + BATCH_BITS, n)]
-        out[chunk] = multi_source_bfs(indptr, indices, n, chunk)
-        sweeps += 1
-    return out, sweeps
 
 
 # --------------------------------------------------------------------- #
@@ -1571,19 +1447,17 @@ class LazyDistanceOracle(DistanceOracle):
 # factory
 # --------------------------------------------------------------------- #
 
-_BACKENDS = ("auto", "dense", "lazy", "landmark")
+_BACKENDS = ("auto", "lazy", "landmark")
 
 
-def resolve_backend(backend: str | None, n: int) -> str:
+def resolve_backend(backend: str | None) -> str:
     """Resolve ``backend`` (``None``/"auto"/a concrete name) to a concrete name."""
     name = backend or "auto"
     if name not in _BACKENDS:
         raise InvalidParameterError(
             f"unknown distance backend {backend!r}; known: {list(_BACKENDS)}"
         )
-    if name == "auto":
-        return "dense" if n <= DENSE_AUTO_MAX else "lazy"
-    return name
+    return "lazy" if name == "auto" else name
 
 
 def build_distance_oracle(
@@ -1593,19 +1467,13 @@ def build_distance_oracle(
 
     Args:
         graph: the network graph.
-        backend: ``"dense"``, ``"lazy"``, ``"landmark"``, or
-            ``"auto"``/``None`` (dense up to :data:`DENSE_AUTO_MAX` nodes,
-            lazy above).  See the module docstring for the selection guide.
-        **kwargs: backend-specific options (lazy/landmark:
-            ``row_cache_bytes``, ``ball_cache_bytes``).
+        backend: ``"lazy"``, ``"landmark"``, or ``"auto"``/``None`` (lazy
+            at every size).  See the module docstring for the selection
+            guide.
+        **kwargs: backend options (``row_cache_bytes``,
+            ``ball_cache_bytes``).
     """
-    name = resolve_backend(backend, graph.n)
-    if name == "dense":
-        if kwargs:
-            raise InvalidParameterError(
-                f"dense backend takes no options, got {sorted(kwargs)}"
-            )
-        return DenseDistanceOracle(graph)
+    name = resolve_backend(backend)
     if name == "landmark":
         from .labeling import LandmarkDistanceOracle
 

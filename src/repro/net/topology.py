@@ -5,7 +5,10 @@ a restricted 100 x 100 area, identical transmission ranges, average node
 degree ``D`` in {6, 10}, and an ideal MAC layer.  Disconnected samples are
 useless for connected-clustering experiments, so the generator redraws until
 the unit-disk graph is connected (standard practice in this literature, and
-implied by the paper's Theorem 1 premise that ``G`` is connected).
+implied by the paper's Theorem 1 premise that ``G`` is connected).  Below
+the connectivity threshold most draws are rejected, so rejection works on
+each draw's edge arrays (an isolated-node test, then one CSR BFS) and only
+the accepted draw becomes a :class:`~repro.net.graph.Graph`.
 
 Two radius-calibration modes are offered:
 
@@ -25,8 +28,11 @@ from typing import Optional
 import numpy as np
 
 from ..errors import CalibrationError, InvalidParameterError
-from .geometry import PAPER_AREA, Area, pairwise_distances, random_positions
-from .graph import Graph
+from ..obs import counter as obs_counter
+from ..obs import span
+from ..types import IndexArray
+from .geometry import PAPER_AREA, Area, random_positions
+from .graph import Graph, component_labels
 
 __all__ = [
     "Topology",
@@ -35,7 +41,6 @@ __all__ = [
     "unit_disk_edges",
     "unit_disk_graph",
     "random_topology",
-    "CELL_BIN_MIN_N",
 ]
 
 
@@ -110,44 +115,39 @@ def radius_for_degree(n: int, degree: float, area: Area = PAPER_AREA) -> float:
     return math.sqrt(degree * a / (math.pi * (n - 1)))
 
 
-#: ``unit_disk_graph`` switches from the dense O(n²) distance matrix to
-#: cell-binned candidate search above this many nodes.
-CELL_BIN_MIN_N: int = 1024
+def _cell_binned_disk_edges(
+    pos: np.ndarray, radius: float
+) -> tuple[IndexArray, IndexArray]:
+    """Unit-disk edges ``(ii, jj)`` via spatial hashing: O(n · local density) work.
 
+    The one unit-disk edge routine: every consumer (graph construction,
+    the connectivity-rejection sampler, mobility snapshots) goes through
+    it.  Nodes are binned into a grid of cells slightly wider than
+    ``radius``; only pairs in the same or adjacent cells can be within
+    range, and each adjacent cell pair is visited once (half-neighborhood
+    stencil), so no O(n²) distance matrix is ever formed.  The whole
+    candidate-pair construction is array-level: nodes are sorted by cell
+    key once, each stencil offset becomes one ``searchsorted`` join of all
+    nodes against all target cells, and candidate pairs are materialized
+    with ``repeat``/offset arithmetic — no Python per-cell loop.
 
-def _cell_binned_disk_edges(pos: np.ndarray, radius: float) -> list[tuple[int, int]]:
-    """Unit-disk edges via spatial hashing: O(n · local density) work.
-
-    Nodes are binned into a grid of ``radius``-sized cells; only pairs in
-    the same or adjacent cells can be within range, and each adjacent cell
-    pair is visited once (half-neighborhood stencil), so no O(n²) distance
-    matrix is ever formed.  The whole candidate-pair construction is
-    array-level: nodes are sorted by cell key once, each stencil offset
-    becomes one ``searchsorted`` join of all nodes against all target
-    cells, and candidate pairs are materialized with ``repeat``/offset
-    arithmetic — no Python per-cell loop (this runs once per mobility
-    snapshot, so it is on the simulation hot path).
+    Returns two int64 arrays, one entry per unordered pair; the order of
+    pairs and the orientation within a pair are unspecified.
     """
     n = pos.shape[0]
     if n < 2 or radius < 0:
-        return []
-    if radius == 0:
-        # Degenerate but must match the dense path: only coincident points
-        # are "within range 0" of each other.
-        groups: dict[tuple[float, float], list[int]] = {}
-        for i, p in enumerate(map(tuple, pos.tolist())):
-            groups.setdefault(p, []).append(i)
-        return [
-            (mem[a], mem[b])
-            for mem in groups.values()
-            for a in range(len(mem))
-            for b in range(a + 1, len(mem))
-        ]
-    cells = np.floor(pos / radius).astype(np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    # Cells wider than ``radius`` (never narrower than 2^-30 of the
+    # coordinate extent, never zero) keep grid coordinates far below 2^31
+    # and put any pair whose float distance can pass the radius test in
+    # the same or adjacent cells despite rounding in ``pos / cell``.
+    extent = float(np.abs(pos).max())
+    cell = max(float(radius), extent / 2**30, np.finfo(np.float64).tiny)
+    cells = np.floor(pos / (cell * (1.0 + 2.0**-16))).astype(np.int64)
     cx, cy = cells[:, 0], cells[:, 1]
-    # Collision-free scalar cell key (grid coordinates are bounded by
-    # area/radius, far below 2^31).
-    shift = np.int64(1) << np.int64(31)
+    # Collision-free scalar cell key (|grid coordinates| < 2^31).
+    shift = np.int64(1) << np.int64(32)
     key = cx * shift + cy
     order = np.argsort(key, kind="stable")
     skey = key[order]
@@ -181,16 +181,13 @@ def _cell_binned_disk_edges(pos: np.ndarray, radius: float) -> list[tuple[int, i
             ii, jj = ii[keep], jj[keep]
         pairs_i.append(ii)
         pairs_j.append(jj)
-    if not pairs_i:
-        return []
     ii = np.concatenate(pairs_i)
     jj = np.concatenate(pairs_j)
     diff = pos[ii] - pos[jj]
-    # Same float expression as geometry.pairwise_distances (the dense
-    # path), so both unit_disk_edges routes share bit-identical
-    # inclusion at the radius knife-edge.
+    # Same float expression as Topology.with_node, so growth and
+    # from-scratch generation agree at the radius knife-edge.
     ok = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= radius
-    return list(zip(ii[ok].tolist(), jj[ok].tolist()))
+    return ii[ok], jj[ok]
 
 
 def unit_disk_edges(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
@@ -204,23 +201,15 @@ def unit_disk_edges(positions: np.ndarray, radius: float) -> list[tuple[int, int
     """
     if radius < 0:
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-    pos = np.asarray(positions, dtype=np.float64)
-    n = pos.shape[0]
-    if n > CELL_BIN_MIN_N:
-        return _cell_binned_disk_edges(pos, radius)
-    dist = pairwise_distances(pos)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = dist[iu, ju] <= radius
-    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    ii, jj = _cell_binned_disk_edges(np.asarray(positions, dtype=np.float64), radius)
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def unit_disk_graph(positions: np.ndarray, radius: float) -> Graph:
     """Unit-disk graph: an edge wherever Euclidean distance <= ``radius``.
 
-    Small inputs use the dense pairwise-distance matrix; above
-    :data:`CELL_BIN_MIN_N` nodes the edge set is built by cell binning
-    (identical edges, sub-quadratic memory), which is what makes the
-    large-N scaling scenarios feasible.
+    Edges come from cell binning (:func:`unit_disk_edges`), so memory
+    stays sub-quadratic at any ``n``.
     """
     pos = np.asarray(positions, dtype=np.float64)
     return Graph(pos.shape[0], unit_disk_edges(pos, radius))
@@ -251,15 +240,13 @@ def calibrate_radius(
             f"target degree {degree} unreachable with n={n} (max is n-1)"
         )
     position_sets = [random_positions(n, area, rng) for _ in range(samples)]
-    dists = [pairwise_distances(p) for p in position_sets]
 
     def realized(r: float) -> float:
         total = 0.0
-        for d in dists:
-            iu, ju = np.triu_indices(n, k=1)
-            m = int((d[iu, ju] <= r).sum())
+        for pos in position_sets:
+            m = _cell_binned_disk_edges(pos, r)[0].size
             total += 2.0 * m / n
-        return total / len(dists)
+        return total / len(position_sets)
 
     lo = 0.0
     hi = radius_for_degree(n, degree, area)
@@ -326,20 +313,52 @@ def random_topology(
             radius = radius_for_degree(n, degree, area)
         else:
             radius = calibrate_radius(n, degree, area, rng=root)
-    for attempt in range(1, max_attempts + 1):
-        positions = random_positions(n, area, root)
-        graph = unit_disk_graph(positions, radius)
-        if not require_connected or graph.is_connected():
+    if radius < 0:
+        raise InvalidParameterError(f"radius must be >= 0, got {radius}")
+    isolated = 0
+    with span("topology", n=n, degree=degree):
+        for attempt in range(1, max_attempts + 1):
+            positions = random_positions(n, area, root)
+            ii, jj = _cell_binned_disk_edges(positions, radius)
+            if require_connected:
+                # Rejection happens on the edge arrays: most disconnected
+                # draws have an isolated node, which one bincount finds;
+                # the rest cost one CSR BFS.  Only the accepted draw pays
+                # for the Graph constructor.
+                deg = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n)
+                if not deg.all():
+                    isolated += 1
+                    continue
+                if component_labels(*_edge_csr(ii, jj, deg)).any():
+                    continue
+            _publish_sampling(attempt, isolated)
             return Topology(
-                graph=graph,
+                graph=Graph(n, zip(ii.tolist(), jj.tolist())),
                 positions=positions,
                 radius=radius,
                 area=area,
                 seed=seed,
                 attempts=attempt,
             )
+    _publish_sampling(max_attempts, isolated)
     raise CalibrationError(
         f"no connected unit-disk sample in {max_attempts} attempts "
-        f"(n={n}, degree={degree}, radius={radius:.2f}); "
-        "increase degree or max_attempts"
+        f"(n={n}, degree={degree}, radius={radius:.2f}): observed acceptance "
+        f"rate 0/{max_attempts}, {isolated / max(max_attempts, 1):.0%} of "
+        "rejected draws had an isolated node; increase degree or max_attempts"
     )
+
+
+def _edge_csr(
+    ii: IndexArray, jj: IndexArray, deg: IndexArray
+) -> tuple[IndexArray, IndexArray]:
+    """CSR arrays of the undirected edge list ``(ii, jj)`` with degrees ``deg``."""
+    indptr = np.zeros(deg.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    order = np.argsort(np.concatenate([ii, jj]), kind="stable")
+    return indptr, np.concatenate([jj, ii])[order]
+
+
+def _publish_sampling(attempts: int, isolated: int) -> None:
+    obs_counter("topology.attempts").add(attempts)
+    obs_counter("topology.isolated_rejects").add(isolated)

@@ -280,9 +280,7 @@ def simulate_mobile_traffic(
         algorithm: backbone pipeline.
         engine: ``"delta"`` (incremental, the default) or ``"rebuild"``
             (from-scratch baseline) — walk-identical by construction.
-            Delta-side cache inheritance applies to the lazy oracle
-            family; under the auto policy, small graphs (dense backend)
-            still produce identical results, just without the row reuse.
+            Delta-side cache inheritance applies to both oracle backends.
         collect_walks: keep every epoch's routed walks on the report
             (memory-heavy; the equivalence benchmark needs it).
         degraded: serve disconnected snapshots by component-local
@@ -545,9 +543,6 @@ def main(
 ) -> None:
     """CLI driver: run one mobility-coupled traffic experiment."""
     topo = random_topology(n, degree=degree, seed=seed)
-    # The delta engine's cache inheritance lives in the lazy oracle
-    # family; pin it so small instances don't auto-select dense.
-    topo.graph.use_distance_backend("lazy")
     wl = make_workload(workload, topo.graph.n, flows, seed=seed)
     report = simulate_mobile_traffic(
         topo,

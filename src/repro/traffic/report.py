@@ -85,7 +85,7 @@ def run_traffic(
         lifetime_epochs: when > 0, also run the traffic-driven lifetime
             comparison (rotation vs static) for this many epochs.
         energy_params: energy constants for the lifetime comparison.
-        backend: force the hop-distance backend (``"dense"``/``"lazy"``/
+        backend: force the hop-distance backend (``"lazy"``/
             ``"landmark"``/``"auto"``); None keeps the graph's policy.
             Batch routing is pair-query-heavy, so the CLI pins
             ``"landmark"`` — results are identical on every backend.
@@ -115,11 +115,9 @@ def run_traffic(
         flows=flows,
         seed=seed,
     ):
-        with span("topology", n=n):
-            topo = random_topology(n, degree=degree, seed=seed)
-            graph = topo.graph
-            if backend is not None:
-                graph.use_distance_backend(backend)
+        graph = random_topology(n, degree=degree, seed=seed).graph
+        if backend is not None:
+            graph.use_distance_backend(backend)
         backbone = run_pipeline(graph, k, algorithm)
         wl = make_workload(workload, graph.n, flows, seed=seed)
         with span("router", flows=wl.num_flows, balance=balance):

@@ -13,6 +13,7 @@ from repro.net.generators import complete_graph, cycle_graph, grid_graph, path_g
 from repro.net.graph import Graph
 
 from ..conftest import connected_graphs
+from ..reference import all_pairs_hops
 
 
 class TestMaxMin:
@@ -95,7 +96,7 @@ class TestKClusters:
     @settings(max_examples=30, deadline=None)
     def test_definitional_properties(self, g, k):
         """Every k-cluster is mutually k-reachable and maximal."""
-        dist = g.hop_distances
+        dist = all_pairs_hops(g)
         clusters = k_clusters(g, k)
         # covers every node
         covered = set().union(*clusters) if clusters else set()

@@ -283,12 +283,26 @@ class TestDenseAllocationR003:
                 "src/repro/net/oracle.py": """\
                 import numpy as np
 
+                class DistanceOracle:
+                    def pairwise_distances(self, nodes):
+                        return np.zeros((len(nodes), len(nodes)))
+                """
+            }
+        )
+        assert codes(run) == []
+
+    def test_deleted_dense_backend_is_not_allowlisted(self, lint_tree):
+        run = lint_tree(
+            {
+                "src/repro/net/oracle.py": """\
+                import numpy as np
+
                 def _dense_all_pairs(n):
                     return np.zeros((n, n))
                 """
             }
         )
-        assert codes(run) == []
+        assert codes(run) == ["R003"]
 
     def test_pragma_suppresses(self, lint_tree):
         run = lint_tree(

@@ -8,10 +8,10 @@ from repro.net.geometry import (
     bounding_box,
     grid_positions,
     nearest_neighbor_distances,
-    pairs_within,
     pairwise_distances,
     random_positions,
 )
+from repro.net.topology import unit_disk_edges
 
 
 class TestRandomPositions:
@@ -76,18 +76,20 @@ class TestPairwiseDistances:
 
 
 class TestPairsWithin:
+    """The pairs-within-radius rule, served by ``unit_disk_edges``."""
+
     def test_unit_square(self):
         pos = np.array([[0, 0], [1, 0], [0, 1], [5, 5]], dtype=float)
-        pairs = pairs_within(pos, 1.0)
+        pairs = unit_disk_edges(pos, 1.0)
         assert set(pairs) == {(0, 1), (0, 2)}
 
     def test_radius_zero(self):
         pos = np.array([[0, 0], [0, 0]], dtype=float)
-        assert pairs_within(pos, 0.0) == [(0, 1)]
+        assert unit_disk_edges(pos, 0.0) == [(0, 1)]
 
     def test_negative_radius(self):
         with pytest.raises(InvalidParameterError):
-            pairs_within(np.zeros((2, 2)), -1.0)
+            unit_disk_edges(np.zeros((2, 2)), -1.0)
 
 
 class TestMisc:

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DisconnectedGraphError, InvalidParameterError
-from repro.net.graph import UNREACHABLE, Graph
+from repro.net.graph import UNREACHABLE, Graph, component_labels
 from repro.net.generators import cycle_graph, grid_graph, path_graph, star_graph
 
 from ..conftest import connected_graphs
+from ..reference import all_pairs_hops, bfs_row
 
 
 class TestConstruction:
@@ -110,7 +111,8 @@ class TestDistances:
     @given(connected_graphs())
     @settings(max_examples=40)
     def test_distance_matrix_symmetric_and_triangle(self, g):
-        d = g.hop_distances
+        d = g.oracle.rows(list(g.nodes()))
+        assert np.array_equal(d, all_pairs_hops(g))
         assert (d == d.T).all()
         assert (np.diag(d) == 0).all()
         # triangle inequality on a sample of triples
@@ -123,7 +125,7 @@ class TestDistances:
     @given(connected_graphs())
     @settings(max_examples=30)
     def test_adjacent_iff_distance_one(self, g):
-        d = g.hop_distances
+        d = g.oracle.rows(list(g.nodes()))
         for u, v in g.edges:
             assert d[u, v] == 1
         for u in range(g.n):
@@ -181,6 +183,35 @@ class TestConnectivity:
     def test_generated_graphs_connected(self, g):
         assert g.is_connected()
         assert len(g.connected_components()) == 1
+
+    @given(
+        st.integers(0, 25).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))), max_size=30),
+            )
+        )
+    )
+    @settings(max_examples=80)
+    def test_components_match_reference(self, case):
+        # Arbitrary (mostly disconnected) graphs: labels from the CSR kernel
+        # must give the reference reachability classes, in (-len, members)
+        # order.
+        n, pairs = case
+        g = Graph(n, [(u, v) for u, v in pairs if u != v])
+        seen: set[int] = set()
+        expected = []
+        for u in range(n):
+            if u not in seen:
+                members = tuple(np.flatnonzero(bfs_row(g, u) < UNREACHABLE).tolist())
+                seen.update(members)
+                expected.append(members)
+        expected.sort(key=lambda c: (-len(c), c))
+        assert g.connected_components() == expected
+        assert g.is_connected() == (len(expected) <= 1)
+        labels = component_labels(*g.csr_adjacency)
+        assert all((labels[list(c)] == c[0]).all() for c in expected)
 
 
 class TestDerivedGraphs:

@@ -1,9 +1,9 @@
 """Tests for the pluggable distance-oracle subsystem.
 
-The load-bearing property: the lazy CSR backend and the dense all-pairs
-backend are *observationally identical* — same distance rows, same balls,
-same canonical paths, and same end-to-end backbones — so every consumer
-can switch backends freely and only performance changes.
+The load-bearing property: the lazy CSR backend and the test-only
+all-pairs BFS reference are *observationally identical* — same distance
+rows, same balls, same canonical paths, and same end-to-end backbones — so
+every consumer gets reference distances and only performance changes.
 """
 
 import numpy as np
@@ -18,11 +18,9 @@ from repro.net.generators import grid_graph, path_graph, ring_of_cliques, toroid
 from repro.net.graph import UNREACHABLE, Graph
 from repro.net.oracle import (
     BATCH_BITS,
-    DENSE_AUTO_MAX,
     DIST_DTYPE,
     MAX_ORACLE_NODES,
     ByteBudgetLRU,
-    DenseDistanceOracle,
     LazyDistanceOracle,
     _check_size,
     build_distance_oracle,
@@ -33,6 +31,7 @@ from repro.net.paths import canonical_path
 from repro.net.topology import random_topology
 
 from ..conftest import connected_graphs, ks
+from ..reference import DenseReferenceOracle, serve_from_reference
 
 
 def fresh_copy(g: Graph, backend: str) -> Graph:
@@ -49,29 +48,29 @@ class TestBackendEquivalence:
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
     def test_rows_identical(self, g):
-        dense = build_distance_oracle(g, "dense")
+        ref = DenseReferenceOracle(g)
         lazy = build_distance_oracle(g, "lazy")
         for u in range(g.n):
-            assert np.array_equal(dense.row(u), lazy.row(u))
+            assert np.array_equal(ref.row(u), lazy.row(u))
         # batched form: same values, same dtype, on both backends
         sources = list(range(0, g.n, 2))
-        stacked_d = dense.rows(sources)
+        stacked_d = ref.rows(sources)
         stacked_l = lazy.rows(sources)
         assert np.array_equal(stacked_d, stacked_l)
         assert stacked_d.dtype == stacked_l.dtype == DIST_DTYPE
-        assert dense.rows([]).shape == lazy.rows([]).shape == (0, g.n)
+        assert ref.rows([]).shape == lazy.rows([]).shape == (0, g.n)
         # duplicate sources and unsorted order are preserved
         if g.n >= 2:
             dup = [1, 0, 1]
-            assert np.array_equal(dense.rows(dup), lazy.rows(dup))
+            assert np.array_equal(ref.rows(dup), lazy.rows(dup))
 
     @given(connected_graphs(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_balls_identical(self, g, radius):
-        dense = build_distance_oracle(g, "dense")
+        ref = DenseReferenceOracle(g)
         lazy = build_distance_oracle(g, "lazy")
         for u in range(g.n):
-            dn, dd = dense.ball(u, radius)
+            dn, dd = ref.ball(u, radius)
             ln, ld = lazy.ball(u, radius)
             assert np.array_equal(dn, ln)
             assert np.array_equal(dd, ld)
@@ -79,18 +78,20 @@ class TestBackendEquivalence:
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)
     def test_canonical_paths_identical(self, g):
-        gd = fresh_copy(g, "dense")
+        gr = serve_from_reference(Graph(g.n, g.edges))
         gl = fresh_copy(g, "lazy")
         for u in range(g.n):
             for v in range(u, min(g.n, u + 4)):
-                assert canonical_path(gd, u, v) == canonical_path(gl, u, v)
+                assert canonical_path(gr, u, v) == canonical_path(gl, u, v)
 
     @given(connected_graphs(), ks)
     @settings(max_examples=30, deadline=None)
     def test_backbones_identical(self, g, k):
         results = {}
-        for backend in ("dense", "lazy"):
-            gb = fresh_copy(g, backend)
+        for backend in ("reference", "lazy"):
+            gb = fresh_copy(g, "lazy")
+            if backend == "reference":
+                serve_from_reference(gb)
             cl = khop_cluster(gb, k)
             bb = build_backbone(cl, "AC-LMST")
             results[backend] = (
@@ -99,23 +100,23 @@ class TestBackendEquivalence:
                 bb.selected_links,
                 bb.gateways,
             )
-        assert results["dense"] == results["lazy"]
+        assert results["reference"] == results["lazy"]
 
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
     def test_disconnected_rows_identical(self, g):
         # Add isolated nodes so UNREACHABLE entries appear in both backends.
         g2 = Graph(g.n + 2, g.edges)
-        dense = build_distance_oracle(g2, "dense")
+        ref = DenseReferenceOracle(g2)
         lazy = build_distance_oracle(g2, "lazy")
         for u in range(g2.n):
-            assert np.array_equal(dense.row(u), lazy.row(u))
-        assert dense.distance(0, g2.n - 1) == UNREACHABLE
+            assert np.array_equal(ref.row(u), lazy.row(u))
+        assert ref.distance(0, g2.n - 1) == UNREACHABLE
         assert lazy.distance(0, g2.n - 1) == UNREACHABLE
 
     def test_huge_radius_ball_excludes_unreachable_on_both_backends(self):
         g = Graph(4, [(0, 1), (2, 3)])  # two components
-        for backend in ("dense", "lazy"):
+        for backend in ("lazy", "landmark"):
             oracle = build_distance_oracle(g, backend)
             nodes, dists = oracle.ball(0, UNREACHABLE)
             assert nodes.tolist() == [0, 1], backend
@@ -214,7 +215,7 @@ class TestLazyCachePolicy:
             LazyDistanceOracle(path_graph(3), row_cache_bytes=-1)
 
     def test_negative_radius_rejected(self):
-        for backend in ("dense", "lazy"):
+        for backend in ("lazy", "landmark"):
             oracle = build_distance_oracle(path_graph(3), backend)
             with pytest.raises(InvalidParameterError):
                 oracle.ball(0, -1)
@@ -227,9 +228,13 @@ class TestLazyCachePolicy:
 
 class TestBackendSelection:
     def test_auto_policy(self):
-        assert resolve_backend("auto", DENSE_AUTO_MAX) == "dense"
-        assert resolve_backend(None, DENSE_AUTO_MAX + 1) == "lazy"
-        assert resolve_backend("dense", 10_000) == "dense"
+        # Lazy at every size: the paper's small graphs included.
+        assert resolve_backend("auto") == "lazy"
+        assert resolve_backend(None) == "lazy"
+        assert resolve_backend("landmark") == "landmark"
+        assert grid_graph(3, 3).distance_backend == "lazy"
+        with pytest.raises(InvalidParameterError):
+            resolve_backend("dense")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -237,38 +242,27 @@ class TestBackendSelection:
         with pytest.raises(InvalidParameterError):
             path_graph(3).use_distance_backend("nope")
 
-    def test_dense_backend_rejects_lazy_options(self):
-        with pytest.raises(InvalidParameterError):
-            build_distance_oracle(path_graph(3), "dense", row_cache_bytes=1)
-
     def test_oracle_cached_per_backend(self):
         g = path_graph(5)
         assert g.distance_oracle("lazy") is g.distance_oracle("lazy")
-        assert g.distance_oracle("dense") is not g.distance_oracle("lazy")
-
-    def test_hop_distances_compat_always_dense(self):
-        g = path_graph(5).use_distance_backend("lazy")
-        assert not g.dense_materialized
-        m = g.hop_distances
-        assert m.shape == (5, 5) and g.dense_materialized
-        assert g.distance_backend == "lazy"  # default backend unchanged
+        assert g.distance_oracle("landmark") is not g.distance_oracle("lazy")
 
     def test_pinned_backend_restores_policy(self):
         g = grid_graph(3, 3)
-        assert g.distance_backend == "dense"  # auto policy at this size
-        with g.pinned_distance_backend("lazy"):
-            assert g.distance_backend == "lazy"
-        assert g.distance_backend == "dense"
+        assert g.distance_backend == "lazy"  # auto policy
+        with g.pinned_distance_backend("landmark"):
+            assert g.distance_backend == "landmark"
+        assert g.distance_backend == "lazy"
 
     def test_run_pipeline_backend_is_per_call(self):
         from repro.core.pipeline import run_pipeline
 
         g = grid_graph(4, 4)
-        run_pipeline(g, 1, distance_backend="lazy")
-        assert g.distance_backend == "dense"  # auto policy restored
+        run_pipeline(g, 1, distance_backend="landmark")
+        assert g.distance_backend == "lazy"  # auto policy restored
 
     def test_ball_map(self):
-        for backend in ("dense", "lazy"):
+        for backend in ("lazy", "landmark"):
             oracle = build_distance_oracle(path_graph(5), backend)
             assert oracle.ball_map(2, 1) == {1: 1, 2: 0, 3: 1}
 
@@ -465,7 +459,7 @@ class TestBatchedBalls:
 
     def test_dense_backend_ignores_the_hint(self):
         g = path_graph(8)
-        oracle = DenseDistanceOracle(g)
+        oracle = DenseReferenceOracle(g)  # an oracle without a ball cache
         assert oracle.prepare_balls(range(g.n), 2) == 0
         nodes, dists = oracle.ball(3, 2)
         assert nodes.tolist() == [1, 2, 3, 4, 5]

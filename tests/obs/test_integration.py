@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.net.topology import random_topology
 from repro.traffic.report import run_traffic
 
 RUN = dict(n=60, degree=6.0, k=2, flows=50, seed=11)
@@ -54,6 +55,16 @@ class TestTracedTrafficRun:
             name for name in snap["gauges"] if name.startswith("paths.")
         ]
         assert paths_gauges, "no paths.* gauges published"
+
+
+class TestTopologySampling:
+    def test_counters_and_span(self, obs_on):
+        topo = random_topology(200, 6.0, seed=4)
+        counters = obs.registry().counter_values()
+        assert counters["topology.attempts"] == topo.attempts
+        assert 0 <= counters["topology.isolated_rejects"] < topo.attempts
+        (root,) = obs.take_finished()
+        assert root.name == "topology" and root.meta["n"] == 200
 
 
 class TestDisabledIdentity:

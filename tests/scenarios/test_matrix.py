@@ -30,6 +30,8 @@ from repro.traffic.mobile import simulate_mobile_traffic
 from repro.traffic.router import BatchRouter
 from repro.traffic.workloads import make_workload
 
+from ..reference import bfs_row, serve_from_reference
+
 K = 2
 ALGORITHM = "AC-LMST"
 FLOWS = 240
@@ -41,13 +43,15 @@ GENERATORS = {
     "ring-of-cliques": lambda: ring_of_cliques(10, 6),
 }
 WORKLOAD_KINDS = ("uniform", "cbr", "hotspot", "gossip")
-BACKENDS = ("dense", "lazy", "landmark")
+#: ``reference`` serves every query from the test-only all-pairs BFS
+#: reference oracle; the other two are the library's backends.
+BACKENDS = ("reference", "lazy", "landmark")
 
 #: Cells that run in tier-1 (one per generator / workload / backend so
 #: every axis keeps quick coverage); the rest are slow.
 QUICK_STATIC = {
     ("unit-disk", "uniform", "lazy"),
-    ("unit-disk", "hotspot", "dense"),
+    ("unit-disk", "hotspot", "reference"),
     ("toroidal", "gossip", "landmark"),
     ("ring-of-cliques", "cbr", "lazy"),
 }
@@ -71,6 +75,13 @@ def _mobile_cells():
             yield pytest.param(*cell, marks=marks, id="mobile-" + "-".join(cell))
 
 
+def _pin(graph, backend):
+    if backend == "reference":
+        serve_from_reference(graph)
+    else:
+        graph.use_distance_backend(backend)
+
+
 def _assert_routed_invariants(graph, backbone, wl, routed):
     # Walks are valid backbone-routed walks on the real graph.
     assert len(routed.walks) == wl.num_flows
@@ -79,7 +90,11 @@ def _assert_routed_invariants(graph, backbone, wl, routed):
         assert walk[-1] == wl.targets[i]
         for a, b in zip(walk, walk[1:]):
             assert graph.has_edge(a, b), f"walk {i} uses non-edge ({a},{b})"
-    # Stretch >= 1 against the backend's own shortest distances.
+    # Stretch >= 1 against the backend's own shortest distances, which
+    # must equal the reference BFS distances.
+    rows = {s: bfs_row(graph, s) for s in set(wl.sources.tolist())}
+    reference = [rows[s][t] for s, t in zip(wl.sources.tolist(), wl.targets.tolist())]
+    assert routed.shortest.tolist() == reference
     assert (routed.hops >= routed.shortest).all()
     assert (routed.shortest >= 1).all()
     # Flow conservation: demand-weighted transmit/receive/forward sums.
@@ -97,7 +112,7 @@ def _assert_routed_invariants(graph, backbone, wl, routed):
 @pytest.mark.parametrize("gen,kind,backend", list(_static_cells()))
 def test_static_cell(gen, kind, backend):
     graph = GENERATORS[gen]()
-    graph.use_distance_backend(backend)
+    _pin(graph, backend)
     wl = make_workload(kind, graph.n, FLOWS, seed=SEED)
     clustering = khop_cluster(graph, K)
     # Every node within K hops of its head, on this backend.
@@ -145,7 +160,7 @@ def test_static_cell(gen, kind, backend):
 @pytest.mark.parametrize("kind,backend", list(_mobile_cells()))
 def test_mobile_cell(kind, backend):
     topo = random_topology(120, degree=7.0, seed=SEED)
-    topo.graph.use_distance_backend(backend)
+    _pin(topo.graph, backend)
     wl = make_workload(kind, topo.graph.n, FLOWS, seed=SEED)
     kw = dict(snapshots=3, speed=(0.1, 0.5), seed=SEED, collect_walks=True)
     delta = simulate_mobile_traffic(topo, K, wl, engine="delta", **kw)

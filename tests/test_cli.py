@@ -172,7 +172,9 @@ class TestTracedRuns:
         manifest, spans, _ = obs.read_trace(trace)
         assert manifest["knobs"]["command"] == "mobility"
         assert manifest["knobs"]["snapshots"] == 3
-        names = self.span_names(spans[0])
+        # Topology sampling runs before the experiment: its own root span.
+        assert [sp["name"] for sp in spans] == ["topology", "mobility"]
+        names = self.span_names(spans[1])
         assert "mobility" in names and "epoch" in names
 
     def test_chaos_trace_writes_jsonl(self, capsys, tmp_path):
@@ -189,5 +191,7 @@ class TestTracedRuns:
         assert f"trace written to {trace}" in out
         manifest, spans, _ = obs.read_trace(trace)
         assert manifest["knobs"]["command"] == "chaos"
-        names = self.span_names(spans[0])
+        # Topology sampling runs before the campaign: its own root span.
+        assert [sp["name"] for sp in spans] == ["topology", "chaos"]
+        names = self.span_names(spans[1])
         assert "chaos" in names and "batch" in names
