@@ -25,7 +25,7 @@ help:
 	@echo "make bench-pipeline - full construction sweep N=2000..10000 (>=5x clustering gate at N=5000)"
 	@echo "make bench-mobility - full mobility benchmark (N=2000, 20 snapshots, >=3x delta gate)"
 	@echo "make bench-faults   - fault-tolerance benchmark (loss tiers + crash campaign, >=1.5x retry gate)"
-	@echo "make bench-obs      - observability overhead gate (traced vs untraced quick pipeline, <=2%)"
+	@echo "make bench-obs      - observability overhead gate (median traced/untraced ratio of the instrumented stages, <=2%)"
 	@echo "make bench-service  - service growth benchmark (10^3 -> 10^4 joins under traffic, >=5x vs rebuild-per-join)"
 	@echo "make bench-congestion - multipath balance benchmark (N=2000, 10k flows, >=20% fairness gate + delivery pushback)"
 

@@ -6,7 +6,7 @@ The tentpole claims this benchmark measures:
   runs **>= 5x** faster than the scalar per-node reference at N=5000
   (>= 3x at the reduced CI case), producing an *identical* ``head_of``;
 * **full-pipeline scale** — the whole construction path (batched
-  clustering -> CDS backbone -> vectorized pruned-landmark labels ->
+  clustering -> CDS backbone -> 64-root bit-packed landmark labels ->
   10^3 batch-routed flows) completes at **N=10^4** on the landmark
   backend, the scale the ROADMAP calls for.
 
@@ -75,7 +75,7 @@ def _build_stage_timings(n: int, flows: int) -> dict:
         with obs.span("pipeline", n=n):
             clustering = khop_cluster(g, PIPELINE_K)
             backbone = build_backbone(clustering, "AC-LMST")
-            # forces the vectorized pruned-landmark construction
+            # forces the 64-root bit-packed label construction
             g.oracle.label(0)
             with obs.span("router", flows=flows):
                 routed = BatchRouter(backbone).route_flows(

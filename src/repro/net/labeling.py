@@ -9,29 +9,32 @@ makes **2-hop distance labeling** tiny: a small set of high-degree
 "landmark" hubs covers almost every shortest path.
 
 :class:`LandmarkDistanceOracle` implements **pruned landmark labeling**
-(Akiba, Iwata & Yoshida, SIGMOD 2013): roots are processed in decreasing
-degree rank, each performing a *pruned* BFS that labels a node ``v`` with
-``(rank, d(root, v))`` only when the labels built so far cannot already
-prove a distance ``<= d``.  The first ~O(√n) degree-ranked roots
-contribute nearly all label entries on unit-disk-style graphs; later
-roots' BFS prune almost immediately.  Because every vertex is processed,
-the resulting labels are **exact** for all pairs (same-component queries
-return the true hop distance, cross-component queries return
-:data:`~repro.net.oracle.UNREACHABLE`), so the backend is observationally
-identical to ``lazy`` — the property tests enforce this.
+(Akiba, Iwata & Yoshida, SIGMOD 2013) with vertices ranked by decreasing
+degree.  PLL's output is the *canonical* labeling (their Thm. 4.1): hub
+``r`` enters ``L(v)`` with ``d(r, v)`` exactly when no vertex ranked
+before ``r`` lies on any shortest ``r``–``v`` path.  The first ~O(√n)
+degree-ranked roots contribute nearly all label entries on
+unit-disk-style graphs; later roots are blocked almost immediately.
+Every vertex is a root, so the labels are **exact** for all pairs
+(same-component queries return the true hop distance, cross-component
+queries return :data:`~repro.net.oracle.UNREACHABLE`) and the backend is
+observationally identical to ``lazy`` — the property tests enforce this.
 
 Queries join the two sorted label arrays in O(|label(u)| + |label(v)|)
 without materializing any BFS row.  Ball and row queries fall back to the
 inherited lazy CSR machinery, so the backend is a drop-in for every
-consumer.  Labels are built lazily on the first pair query.  Construction
-(:func:`build_pruned_labels`) runs each root's pruned BFS as masked
-level-synchronous sweeps over the CSR arrays: the whole frontier's prune
-checks are one gather of hub distances over padded per-node label arrays
-plus one masked row-min, and surviving nodes are labeled and expanded
-with array operations — no per-node Python work.  That opens the
-landmark backend to ``N >= 10^4`` graphs (a full N=10^4 unit-disk build
-is part of ``make bench-pipeline``); memory during construction is
-O(n · max label length) for the padded arrays.
+consumer.  Labels are built lazily on the first pair query.  Because the
+canonical rule never consults other roots' labels, construction
+(:func:`build_pruned_labels`) sweeps roots 64 at a time: one bit-packed
+BFS per block carries a reached and a blocked frontier word per node,
+and each level for all 64 roots is one CSR gather plus one
+``np.bitwise_or.reduceat`` (:func:`~repro.net.oracle.or_neighbor_words`,
+the level step :func:`~repro.net.oracle.multi_source_bfs` uses too).
+A full N=10^4 unit-disk build is part of ``make bench-pipeline``;
+memory during construction is O(n) words plus the label entries
+themselves, held as compact int32 triples until the final per-node
+split.  The sequential per-root pruned BFS survives only as
+:func:`_build_pruned_labels_reference`, the test ground truth.
 
 Under single-node churn the labels are discarded (a removed node may have
 carried shortest paths the labels encode) while cached rows/balls are
@@ -63,11 +66,12 @@ from ..types import DistArray, IndexArray, NodeId
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids circular import
     from .graph import Graph
 from .oracle import (
+    BATCH_BITS,
     DIST_DTYPE,
     UNREACHABLE,
     LazyDistanceOracle,
     OracleStats,
-    gather_csr_neighbors,
+    or_neighbor_words,
 )
 
 __all__ = ["LandmarkDistanceOracle", "build_pruned_labels"]
@@ -79,122 +83,108 @@ def _root_order(indptr: IndexArray, n: int) -> IndexArray:
     return np.lexsort((np.arange(n), -degrees)).astype(np.int64)
 
 
+#: ``_LANES_AFTER[j]`` has bits ``j+1 .. 63`` set: the lanes of a block
+#: whose roots rank after the block's ``j``-th root.
+_LANES_AFTER = np.array(
+    [((1 << BATCH_BITS) - 1) ^ ((2 << j) - 1) for j in range(BATCH_BITS)],
+    dtype=np.uint64,
+)
+_ALL_LANES = np.uint64((1 << BATCH_BITS) - 1)
+_LANE_BITS = np.uint64(1) << np.arange(BATCH_BITS, dtype=np.uint64)
+
+
 def build_pruned_labels(
     indptr: IndexArray, indices: IndexArray, n: int
 ) -> tuple[list[IndexArray], list[DistArray], IndexArray]:
-    """Build exact 2-hop labels by pruned BFS from degree-ranked roots.
+    """Build exact 2-hop labels by 64-root bit-packed canonical sweeps.
 
     Returns ``(label_ranks, label_dists, order)``: per-node sorted arrays
     of hub *ranks* and the matching hop distances, plus the rank -> node
     ordering (``order[0]`` is the highest-degree landmark).
 
-    Each root's pruned BFS runs level-synchronously over the CSR arrays.
-    Per-node labels live in capacity-doubled padded 2D arrays
-    (``lab_rank``/``lab_dist`` of shape ``(n, cap)`` plus a length
-    vector), so one level's PLL prune check — "can the labels built so
-    far already certify a distance <= depth between root and v?" — is a
-    single gather of the root's hub distances through the frontier's
-    label rows, a masked add, and a row-min, instead of a Python loop
-    over every label entry.  Nodes that survive the check are labeled
-    ``(rank, depth)`` and expanded by one vectorized CSR gather; pruned
-    nodes are not expanded (their subtree is reachable no cheaper, the
-    PLL invariant).  Produces byte-identical labels to the per-node
-    reference (:func:`_build_pruned_labels_reference`, kept for the
-    equivalence tests).
+    Roots are swept :data:`~repro.net.oracle.BATCH_BITS` at a time in
+    rank order, lane ``s`` of a block being its ``s``-th root.  A newly
+    reached node is blocked for lane ``s`` when it ranks before root
+    ``s`` or any of its BFS predecessors is blocked (so an earlier-ranked
+    vertex lies on a shortest path); its unblocked lanes become label
+    entries at the current depth.  An unblocked node needs an unblocked
+    predecessor, so a lane whose frontier is all blocked retires, and a
+    block ends when every lane has.  Byte-identical to the per-root
+    pruned BFS of :func:`_build_pruned_labels_reference`.  Publishes the
+    ``oracle.label_blocks`` and ``oracle.label_levels`` counters.
     """
     order = _root_order(indptr, n)
     if n == 0:
         return [], [], order
-    inf = np.int64(UNREACHABLE)
-    cap = 8
-    lab_rank = np.zeros((n, cap), dtype=np.int64)
-    lab_dist = np.zeros((n, cap), dtype=DIST_DTYPE)
-    lab_len = np.zeros(n, dtype=np.int64)
-    col_ids = np.arange(cap)
-    # Distance from the current root to every hub, indexed by hub rank.
-    # int64, not DIST_DTYPE: the prune check adds the UNREACHABLE
-    # sentinel to label distances, which must not wrap in int32; keeping
-    # the headroom on this (n,)-sized vector upcasts the whole gather.
-    hub_dist = np.full(n, inf, dtype=np.int64)  # repro-lint: disable=R002
-    # PLL is sequential in the root rank by definition (each root's BFS
-    # prunes against every earlier root's labels); the per-root work
-    # below is fully vectorized.
-    for rank in range(n):  # repro-lint: disable=R004
-        root = int(order[rank])
-        root_len = int(lab_len[root])
-        root_hubs = lab_rank[root, :root_len]
-        hub_dist[root_hubs] = lab_dist[root, :root_len]
-        seen = np.zeros(n, dtype=bool)
-        seen[root] = True
-        frontier = np.asarray([root], dtype=np.int64)
+    nonzero = np.flatnonzero(np.diff(indptr) > 0)
+    # Lanes each node blocks by rank alone: all of them once the node's
+    # own block is done, the later lanes while it is in the current one.
+    rank_blocks = np.zeros(n, dtype=np.uint64)
+    state = np.zeros((n, 2), dtype=np.uint64)  # (reached, blocked) frontier
+    reached_f, blocked_f = state[:, 0], state[:, 1]
+    visited = np.zeros(n, dtype=np.uint64)
+    found_nodes: list[np.ndarray] = []
+    found_ranks: list[np.ndarray] = []
+    found_dists: list[np.ndarray] = []
+    levels = 0
+    for base in range(0, n, BATCH_BITS):
+        roots = order[base : base + BATCH_BITS]
+        rank_blocks[roots] = _LANES_AFTER[: roots.size]
+        visited[:] = 0
+        visited[roots] = reached_f[roots] = _LANE_BITS[: roots.size]
+        found_nodes.append(roots.astype(np.int32))
+        found_ranks.append(np.arange(base, base + roots.size, dtype=np.int32))
+        found_dists.append(np.zeros(roots.size, dtype=DIST_DTYPE))
+        active = roots
         depth = 0
-        while frontier.size:
-            # --- prune check, whole level at once ---------------------- #
-            # Clip the gather to the frontier's longest label: early roots
-            # run against near-empty labels, so their (wide) BFS levels
-            # touch a handful of columns instead of the full capacity.
-            lens = lab_len[frontier]
-            width = int(lens.max())
-            if width:
-                rows_rank = lab_rank[frontier, :width]
-                rows_dist = lab_dist[frontier, :width]
-                valid = col_ids[:width] < lens[:, None]
-                via_hub = np.where(
-                    valid, hub_dist[rows_rank] + rows_dist, inf
-                )
-                kept = frontier[via_hub.min(axis=1) > depth]
-            else:
-                kept = frontier  # empty labels certify nothing
-            # --- label the survivors ----------------------------------- #
-            if kept.size:
-                if int(lab_len[kept].max()) >= cap:
-                    lab_rank = np.concatenate(
-                        [lab_rank, np.zeros((n, cap), dtype=np.int64)], axis=1
-                    )
-                    lab_dist = np.concatenate(
-                        [lab_dist, np.zeros((n, cap), dtype=DIST_DTYPE)],
-                        axis=1,
-                    )
-                    cap *= 2
-                    col_ids = np.arange(cap)
-                slot = lab_len[kept]
-                lab_rank[kept, slot] = rank
-                lab_dist[kept, slot] = depth
-                lab_len[kept] += 1
-            # --- expand only the survivors ----------------------------- #
-            if kept.size == 0:
-                break
-            if kept.size == 1:
-                # Dominant shape for late roots (the root itself, then an
-                # immediately-pruned neighbor ring): one CSR slice, already
-                # sorted and duplicate-free.
-                v = int(kept[0])
-                nbrs = indices[indptr[v] : indptr[v + 1]]
-                frontier = nbrs[~seen[nbrs]]
-            else:
-                nbrs, _ = gather_csr_neighbors(indptr, indices, kept)
-                if nbrs.size == 0:
-                    break
-                frontier = np.unique(nbrs[~seen[nbrs]])
-            if frontier.size == 0:
-                break
-            seen[frontier] = True
+        while True:
             depth += 1
-        hub_dist[root_hubs] = inf
-    ranks_out = [lab_rank[u, : lab_len[u]].copy() for u in range(n)]
-    dists_out = [
-        lab_dist[u, : lab_len[u]].astype(DIST_DTYPE) for u in range(n)
-    ]
-    return ranks_out, dists_out, order
+            levels += 1
+            targets, got = or_neighbor_words(
+                indptr, indices, state, active, nonzero
+            )
+            reached_f[active] = blocked_f[active] = 0
+            reached = got[:, 0] & ~visited[targets]
+            new = np.flatnonzero(reached)
+            targets, reached = targets[new], reached[new]
+            blocked = (got[:, 1][new] | rank_blocks[targets]) & reached
+            free = reached & ~blocked
+            live = np.bitwise_or.reduce(free)
+            if not live:
+                break
+            visited[targets] |= reached
+            hit = np.flatnonzero(free)
+            rows, lane = np.nonzero(free[hit, None] & _LANE_BITS)
+            found_nodes.append(targets[hit[rows]].astype(np.int32))
+            found_ranks.append((base + lane).astype(np.int32))
+            found_dists.append(np.full(rows.size, depth, dtype=DIST_DTYPE))
+            # Retire lanes with no unblocked frontier left.
+            reached &= live
+            keep = np.flatnonzero(reached)
+            active = targets[keep]
+            reached_f[active] = reached[keep]
+            blocked_f[active] = blocked[keep] & live
+        reached_f[active] = blocked_f[active] = 0
+        rank_blocks[roots] = _ALL_LANES
+    obs_counter("oracle.label_blocks").add(-(-n // BATCH_BITS))
+    obs_counter("oracle.label_levels").add(levels)
+    nodes = np.concatenate(found_nodes)
+    ranks = np.concatenate(found_ranks)
+    dists = np.concatenate(found_dists)
+    perm = np.lexsort((ranks, nodes))
+    ranks = ranks[perm].astype(np.int64)
+    dists = dists[perm]
+    cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
+    return np.split(ranks, cuts), np.split(dists, cuts), order
 
 
 def _build_pruned_labels_reference(
     indptr: IndexArray, indices: IndexArray, n: int
 ) -> tuple[list[IndexArray], list[DistArray], IndexArray]:
-    """Per-node reference PLL construction (the pre-vectorization path).
+    """Per-node reference PLL construction: one pruned BFS per root.
 
-    Kept as the ground truth for the CSR-vs-reference label-equality
-    tests; observationally identical to :func:`build_pruned_labels`.
+    Kept as the ground truth for the label-equality tests; byte-identical
+    to :func:`build_pruned_labels`.
     """
     order = _root_order(indptr, n)
     neighbors = [indices[indptr[u] : indptr[u + 1]].tolist() for u in range(n)]

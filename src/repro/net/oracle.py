@@ -109,6 +109,7 @@ __all__ = [
     "DistanceOracle",
     "LazyDistanceOracle",
     "gather_csr_neighbors",
+    "or_neighbor_words",
     "multi_source_bfs",
     "build_distance_oracle",
     "resolve_backend",
@@ -481,6 +482,40 @@ def gather_csr_neighbors(
     return indices[offsets], counts
 
 
+def or_neighbor_words(
+    indptr: IndexArray,
+    indices: IndexArray,
+    words: np.ndarray,
+    active: IndexArray,
+    nonzero: IndexArray,
+) -> Tuple[IndexArray, np.ndarray]:
+    """One bit-packed BFS level: OR of ``words`` rows over CSR neighbors.
+
+    Returns ``(targets, reduced)``: ``reduced[i]`` is the OR of
+    ``words[w]`` over the neighbors ``w`` of ``targets[i]``.  Rows of
+    ``words`` outside ``active`` must be zero; ``nonzero`` lists the
+    nodes of nonzero degree (their ``indptr`` starts are exactly the
+    segment boundaries — ``reduceat`` cannot represent empty segments).
+    A sparse frontier (under m/8 incident edges) gathers only the active
+    adjacency ranges and reduces per target after a sort, which is
+    output-sensitive; wider levels pull over all m edges.  Rows are
+    gathered with ``np.take``, about 10x faster than fancy indexing on
+    arrays with few columns.
+    """
+    counts = indptr[active + 1] - indptr[active]
+    total = int(counts.sum())
+    if 8 * total >= indices.size:
+        return nonzero, np.bitwise_or.reduceat(
+            np.take(words, indices, axis=0), indptr[nonzero], axis=0
+        )
+    targets, counts = gather_csr_neighbors(indptr, indices, active)
+    perm = np.argsort(targets)
+    targets = targets[perm]
+    first = np.flatnonzero(np.diff(targets, prepend=-1))
+    contrib = np.take(words, np.repeat(active, counts)[perm], axis=0)
+    return targets[first], np.bitwise_or.reduceat(contrib, first, axis=0)
+
+
 def _csr_bfs(
     indptr: IndexArray,
     indices: IndexArray,
@@ -553,44 +588,20 @@ def multi_source_bfs(
     # bitwise_or.at (not fancy assignment) so duplicate sources keep both bits
     np.bitwise_or.at(frontier, (src, lanes >> 6), bit)
     visited = frontier.copy()
-    m2 = indices.size
-    if m2 == 0:
+    if indices.size == 0:
         return out
-    degs = np.diff(indptr)
-    # Reduce only over nonzero-degree nodes: their indptr starts are
-    # exactly the segment boundaries (zero-degree nodes contribute empty
-    # segments, which reduceat cannot represent).
-    nonzero = np.flatnonzero(degs > 0)
-    starts = indptr[nonzero]
+    nonzero = np.flatnonzero(np.diff(indptr) > 0)
     level = 0
     active = np.unique(src)  # nodes currently carrying any frontier bit
     while True:
         level += 1
         if max_depth is not None and level > max_depth:
             return out
-        active_edges = int(degs[active].sum())
-        if 8 * active_edges < m2:
-            # Sparse frontier (well under m/8 incident edges): gather only
-            # the frontier nodes' adjacency ranges (the _csr_bfs
-            # concatenation trick) and reduce per *target* after a stable
-            # sort — output-sensitive, instead of touching all m edges for
-            # a handful of frontier nodes.  The threshold leaves wide
-            # mid-BFS levels on the cheaper full-pull path.
-            targets, counts = gather_csr_neighbors(indptr, indices, active)
-            contrib = frontier[np.repeat(active, counts)]
-            order = np.argsort(targets, kind="stable")
-            targets = targets[order]
-            uniq, first = np.unique(targets, return_index=True)
-            nxt = np.zeros((n, words), dtype=np.uint64)
-            if uniq.size:
-                nxt[uniq] = np.bitwise_or.reduceat(
-                    contrib[order], first, axis=0
-                )
-        else:
-            nxt = np.zeros((n, words), dtype=np.uint64)
-            nxt[nonzero] = np.bitwise_or.reduceat(
-                frontier[indices], starts, axis=0
-            )
+        targets, reduced = or_neighbor_words(
+            indptr, indices, frontier, active, nonzero
+        )
+        nxt = np.zeros((n, words), dtype=np.uint64)
+        nxt[targets] = reduced
         nxt &= ~visited
         any_new = False
         for w in range(words):

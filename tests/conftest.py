@@ -39,6 +39,23 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 18, max_extra: int = 25)
 
 
 @st.composite
+def graphs(draw, min_n: int = 1, max_n: int = 18, max_edges: int = 30):
+    """Random simple graphs with no connectivity guarantee.
+
+    Edges are drawn independently, so the strategy covers empty graphs,
+    isolated nodes and several components as readily as connected ones.
+    """
+    n = draw(st.integers(min_n, max_n))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges,
+        )
+    )
+    return Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+@st.composite
 def trees(draw, min_n: int = 1, max_n: int = 20):
     """Random labelled trees (connected, m = n - 1)."""
     n = draw(st.integers(min_n, max_n))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.generators import ring_of_cliques, toroidal_grid
+from repro.net.generators import grid_graph, ring_of_cliques, toroidal_grid
 from repro.net.graph import UNREACHABLE, Graph
 from repro.net.labeling import (
     LandmarkDistanceOracle,
@@ -29,7 +29,8 @@ from repro.net.oracle import (
 )
 from repro.net.topology import random_topology
 
-from ..conftest import connected_graphs
+from ..conftest import connected_graphs, graphs
+from ..reference import all_pairs_hops
 
 
 def unit_disk(n: int, seed: int) -> Graph:
@@ -149,22 +150,62 @@ def test_labels_exact_after_chained_removals(g, removals):
             assert oracle.distance(u, v) == int(ref_row[v])
 
 
-class TestVectorizedConstruction:
-    """The CSR level-synchronous builder vs the per-node reference."""
+def assert_labels_match_reference(g: Graph) -> None:
+    """The 64-root sweep and the per-root pruned BFS agree byte for byte."""
+    indptr, indices = g.csr_adjacency
+    v_ranks, v_dists, v_order = build_pruned_labels(indptr, indices, g.n)
+    r_ranks, r_dists, r_order = _build_pruned_labels_reference(
+        indptr, indices, g.n
+    )
+    assert np.array_equal(v_order, r_order)
+    assert len(v_ranks) == len(v_dists) == g.n
+    for u in range(g.n):
+        assert np.array_equal(v_ranks[u], r_ranks[u]), u
+        assert np.array_equal(v_dists[u], r_dists[u]), u
+        assert v_ranks[u].dtype == r_ranks[u].dtype
+        assert v_dists[u].dtype == r_dists[u].dtype
 
-    @pytest.mark.parametrize("make", SCENARIOS)
+
+def assert_canonical_labels(g: Graph) -> None:
+    """``r`` is in ``L(v)`` iff no vertex ranked before ``r`` lies on a
+    shortest ``r``-``v`` path (``v`` included), at distance ``d(r, v)``."""
+    indptr, indices = g.csr_adjacency
+    ranks, dists, order = build_pruned_labels(indptr, indices, g.n)
+    hops = all_pairs_hops(g).astype(np.int64)
+    for rank, r in enumerate(order.tolist()):
+        earlier = order[:rank]
+        via = hops[r, earlier][:, None] + hops[earlier, :]
+        covered = (via == hops[r]).any(axis=0)
+        expected = (hops[r] < UNREACHABLE) & ~covered
+        for v in range(g.n):
+            pos = np.flatnonzero(ranks[v] == rank)
+            assert pos.size == int(expected[v]), (r, v)
+            if pos.size:
+                assert int(dists[v][pos[0]]) == hops[r, v], (r, v)
+
+
+def sparse_random_graph(n: int, seed: int) -> Graph:
+    """About one edge per node: isolated nodes and many components."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(n, 2)).tolist()
+    return Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+class TestVectorizedConstruction:
+    """The 64-root bit-packed builder vs the per-node reference."""
+
+    @pytest.mark.parametrize(
+        "make",
+        SCENARIOS
+        + [
+            # Multi-block graphs where most ranks fall to the ID
+            # tie-break, so lanes of one block block each other often.
+            pytest.param(lambda: grid_graph(11, 12), id="grid-11x12"),
+            pytest.param(lambda: ring_of_cliques(20, 7), id="ring-20x7"),
+        ],
+    )
     def test_labels_identical_to_reference(self, make):
-        g = make()
-        indptr, indices = g.csr_adjacency
-        v_ranks, v_dists, v_order = build_pruned_labels(indptr, indices, g.n)
-        r_ranks, r_dists, r_order = _build_pruned_labels_reference(
-            indptr, indices, g.n
-        )
-        assert np.array_equal(v_order, r_order)
-        for u in range(g.n):
-            assert np.array_equal(v_ranks[u], r_ranks[u]), u
-            assert np.array_equal(v_dists[u], r_dists[u]), u
-            assert v_dists[u].dtype == r_dists[u].dtype
+        assert_labels_match_reference(make())
 
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)
@@ -189,6 +230,34 @@ class TestVectorizedConstruction:
         assert oracle.distance(3, 3) == 0
         assert oracle.distance(3, 0) == UNREACHABLE
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
+    def test_labels_identical_at_block_boundaries(self, n):
+        # Root blocks are 64 lanes wide: one short of, exactly at, and
+        # one past each block edge, connected and fragmented.
+        assert_labels_match_reference(unit_disk(n, seed=n))
+        assert_labels_match_reference(sparse_random_graph(n, seed=n))
+
+    @given(graphs(max_n=70, max_edges=140))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_identical_on_graphs_of_any_connectivity(self, g):
+        assert_labels_match_reference(g)
+
+    @given(graphs(max_n=24, max_edges=40))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_follow_the_canonical_rule(self, g):
+        assert_canonical_labels(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: unit_disk(150, 13), id="unit-disk-150"),
+            pytest.param(lambda: grid_graph(9, 10), id="grid-9x10"),
+            pytest.param(lambda: sparse_random_graph(140, 5), id="sparse-140"),
+        ],
+    )
+    def test_multi_block_labels_follow_the_canonical_rule(self, make):
+        assert_canonical_labels(make())
+
     def test_empty_graph(self):
         g = Graph(0)
         indptr, indices = g.csr_adjacency
@@ -197,16 +266,16 @@ class TestVectorizedConstruction:
 
 
 class TestDistDtypeContract:
-    """PR 6 regression: the repro-lint R002 findings, frozen as behavior.
+    """The repro-lint R002 findings, frozen as behavior.
 
-    ``build_pruned_labels`` used to keep the persistent label-distance
-    arrays in int64; they are DIST_DTYPE now.  The narrowing is only
-    sound because the prune check's sentinel arithmetic
-    (``UNREACHABLE + d``) runs in the int64 ``hub_dist`` scratch array —
-    in int32 it would wrap negative and defeat the pruning comparison.
-    A disconnected graph keeps the sentinel resident in that scratch for
-    every cross-component candidate, so it is exactly the family where a
-    careless narrowing would produce silently wrong labels.
+    ``build_pruned_labels`` once kept label distances in int64; they are
+    DIST_DTYPE now.  An earlier sequential builder also ran the prune
+    check's sentinel arithmetic (``UNREACHABLE + d``), which wraps
+    negative in int32.  The 64-root sweep never adds to the sentinel (an
+    entry's distance is the BFS depth that reached it), but every
+    cross-component pair still answers through it, so a disconnected
+    graph stays the family where a careless narrowing would leak the
+    sentinel into a stored label or a join.
     """
 
     def test_label_distances_are_dist_dtype(self):

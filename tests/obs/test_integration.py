@@ -1,5 +1,7 @@
 """The instrumented pipeline: span coverage and disabled-mode identity."""
 
+import math
+
 import pytest
 
 from repro import obs
@@ -65,6 +67,20 @@ class TestTopologySampling:
         assert 0 <= counters["topology.isolated_rejects"] < topo.attempts
         (root,) = obs.take_finished()
         assert root.name == "topology" and root.meta["n"] == 200
+
+
+class TestLabelBuild:
+    @pytest.mark.parametrize("n", [63, 64, 65, 200])
+    def test_block_and_level_counters(self, obs_on, n):
+        g = random_topology(n, 6.0, seed=5).graph
+        g.use_distance_backend("landmark").oracle.distance(0, n - 1)
+        counters = obs.registry().counter_values()
+        assert counters["oracle.labels_built"] == 1
+        assert counters["oracle.label_blocks"] == math.ceil(n / 64)
+        # a connected graph sweeps at least one level per root block
+        assert counters["oracle.label_levels"] >= math.ceil(n / 64)
+        names = [sp.name for sp in obs.take_finished()]
+        assert "labels" in names
 
 
 class TestDisabledIdentity:
