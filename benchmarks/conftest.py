@@ -27,20 +27,40 @@ BENCH_NS = (50, 100, 150)
 
 import json
 import platform
+import subprocess
 import time
+
+import numpy as np
 
 #: Repo root — BENCH_*.json files land here so the perf trajectory is
 #: tracked in version control alongside the code that produced it.
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def git_sha() -> str:
+    """The checkout's HEAD commit, or ``"unknown"`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else "unknown"
+
+
 def persist_bench(filename: str, record: dict) -> None:
     """Append one benchmark record to a repo-root JSON trajectory file.
 
     Each file holds a list of records, newest last; a record is whatever
-    the benchmark measured plus a timestamp and interpreter tag, so
-    successive PRs can diff the trajectory (``BENCH_scaling.json``,
-    ``BENCH_churn.json``).
+    the benchmark measured plus its provenance (timestamp, interpreter,
+    git sha, core count, numpy version), so successive PRs can diff the
+    trajectory and trace every record to the code and machine that made
+    it (``BENCH_scaling.json``, ``BENCH_churn.json``).
 
     Only *deliberate* benchmark runs persist — ``REPRO_BENCH_STRICT`` /
     ``REPRO_BENCH_FULL`` / ``REPRO_BENCH_PERSIST`` set (the ``make
@@ -63,6 +83,9 @@ def persist_bench(filename: str, record: dict) -> None:
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "python": platform.python_version(),
+            "git_sha": git_sha(),
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
             **record,
         }
     )

@@ -73,11 +73,16 @@ class HeadRouter:
     def __init__(self, result: BackboneResult) -> None:
         self._result = result
         adj: dict[NodeId, list[tuple[int, NodeId]]] = {h: [] for h in result.heads}
+        # Selected-link weights keyed by both orientations, for Yen's
+        # running root/candidate weights.
+        weight: dict[tuple[NodeId, NodeId], int] = {}
         for a, b in result.selected_links:
             w = result.virtual_graph.link(a, b).weight
             adj[a].append((w, b))
             adj[b].append((w, a))
+            weight[(a, b)] = weight[(b, a)] = w
         self._adj = adj
+        self._weight = weight
         self._segments: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
         self._trees: dict[NodeId, tuple[dict, dict]] = {}
         self._head_seqs: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
@@ -88,9 +93,12 @@ class HeadRouter:
         self._alt_ranks: dict[int, dict[NodeId, int]] = {}
         self._alt_trees: dict[tuple[int, NodeId], tuple[dict, dict]] = {}
         self._kshort: dict[
-            tuple[NodeId, NodeId, int], list[tuple[NodeId, ...]]
+            tuple[NodeId, NodeId, int, float], list[tuple[NodeId, ...]]
         ] = {}
         self._seq_walks: dict[tuple[NodeId, ...], tuple[NodeId, ...]] = {}
+        #: Cumulative Yen spur-step counts: searches run, and spur nodes
+        #: skipped because no first hop fits the residual budget.
+        self.spur_counts = {"spur_searches": 0, "spurs_skipped": 0}
 
     @property
     def result(self) -> BackboneResult:
@@ -187,15 +195,13 @@ class HeadRouter:
         if new_vg is old_vg and new_links is old_links:
             # The member-death splice reuses the virtual graph unchanged.
             same_path = set(new_links)
-            new_w = old_w = {ab: new_vg.link(*ab).weight for ab in new_links}
         else:
             same_path = {
                 ab
                 for ab in new_links & old_links
                 if new_vg.link(*ab).path == old_vg.link(*ab).path
             }
-            new_w = {ab: new_vg.link(*ab).weight for ab in new_links}
-            old_w = {ab: old_vg.link(*ab).weight for ab in old_links}
+        new_w, old_w = self._weight, old._weight
         for key, seg in old._segments.items():
             ab = key if key[0] < key[1] else (key[1], key[0])
             if ab in same_path and key not in self._segments:
@@ -393,7 +399,13 @@ class HeadRouter:
     # -- multipath: equal-cost variants and k-shortest head walks ------- #
 
     def link_weight(self, a: NodeId, b: NodeId) -> int:
-        """Weight (physical hop count) of the selected virtual link a-b."""
+        """Weight (physical hop count) of the virtual link a-b.
+
+        Answers for any link of the virtual graph, selected or not.
+
+        Raises:
+            KeyError: if the virtual graph has no a-b link.
+        """
         return self._result.virtual_graph.link(
             *((a, b) if a < b else (b, a))
         ).weight
@@ -474,44 +486,58 @@ class HeadRouter:
         self,
         src: NodeId,
         dst: NodeId,
-        banned_nodes: set[NodeId],
-        banned_edges: set[tuple[NodeId, NodeId]],
-        limit: float = float("inf"),
-    ) -> Optional[tuple[NodeId, ...]]:
-        """Shortest ``src -> dst`` head path avoiding bans (Yen's spur step).
+        first_hops: list[tuple[int, NodeId]],
+        banned: set[NodeId],
+        limit: float,
+        to_dst: dict[NodeId, int],
+    ) -> Optional[tuple[tuple[NodeId, ...], int]]:
+        """Shortest ``src -> dst`` head path within ``limit`` (Yen's spur step).
 
-        Deterministic ``(dist, id)`` settle order, early exit at ``dst``,
-        and distance-bounded (``limit``) — a weight-capped k-shortest
-        query never explores heads its detours could not afford.  None
-        when the (restricted, bounded) search does not reach ``dst``.
+        ``first_hops`` are the ``(weight, head)`` links leaving ``src``
+        that survive Yen's edge bans, ``banned`` the root-prefix heads no
+        later hop may enter.  Settle order is ``(dist, id)`` with an early
+        exit at ``dst``; returns the path and its weight, or None.
+
+        A relaxation to ``v`` is skipped when ``nd + to_dst[v] > limit``
+        (``to_dst``: exact unrestricted distances to ``dst``, absent =
+        unreachable).  The test is monotone in ``nd`` and only drops heads
+        that cannot lie on any path to ``dst`` within ``limit``.  Every
+        head on the path the unpruned search returns, and every tight
+        predecessor of such a head, passes it (the remainder from a tight
+        predecessor is at most its link weight plus the successor's), so
+        those heads settle with the same distances in the same
+        ``(dist, id)`` order and ``prev`` resolves to the same path.  No
+        A* ordering: that would change which equal-cost spur wins.
         """
         dist = {src: 0}
         prev: dict[NodeId, NodeId] = {}
-        pq = [(0, src)]
+        pq: list[tuple[int, NodeId]] = []
+        for w, v in first_hops:
+            dist[v] = w
+            prev[v] = src
+            pq.append((w, v))
+        heapq.heapify(pq)
+        adj = self._adj
         while pq:
             d, u = heapq.heappop(pq)
-            if d > dist.get(u, float("inf")):
+            if d > dist[u]:
                 continue
             if u == dst:
-                break
-            for w, v in self._adj[u]:
-                if v in banned_nodes:
-                    continue
-                if ((u, v) if u < v else (v, u)) in banned_edges:
+                seq = [dst]
+                while seq[-1] != src:
+                    seq.append(prev[seq[-1]])
+                return tuple(reversed(seq)), d
+            for w, v in adj[u]:
+                if v in banned:
                     continue
                 nd = d + w
-                if nd > limit:
+                if nd + to_dst.get(v, UNREACHABLE_W) > limit:
                     continue
-                if nd < dist.get(v, float("inf")):
+                if nd < dist.get(v, UNREACHABLE_W):
                     dist[v] = nd
                     prev[v] = u
                     heapq.heappush(pq, (nd, v))
-        if dst not in dist:
-            return None
-        seq = [dst]
-        while seq[-1] != src:
-            seq.append(prev[seq[-1]])
-        return tuple(reversed(seq))
+        return None
 
     def k_shortest_sequences(
         self,
@@ -527,9 +553,24 @@ class HeadRouter:
         is fully deterministic.  Spur paths reuse the head adjacency with
         per-deviation node/edge bans; every returned sequence is loopless
         (the root prefix is loopless and the spur avoids its nodes).
-        ``max_weight`` caps the total sequence weight — the spur searches
-        prune at the residual budget, so a tight cap (e.g. a stretch
-        bound) makes the whole query local to the pair's neighborhood.
+        ``max_weight`` caps the total sequence weight.
+
+        The cap is goal-bounded: the cached canonical :meth:`tree` rooted
+        at ``dst_head`` gives exact distances *to* the target (the head
+        graph is undirected with weights >= 1), so a spur search drops
+        every head whose distance so far plus its remaining distance
+        exceeds the residual budget, and a spur node none of whose
+        unbanned first hops fits the budget is skipped without a search.
+        Once ``need`` more sequences are wanted and ``need`` candidates
+        are queued, the cap tightens (inclusively) to the ``need``-th
+        lightest queued weight: the remaining rounds pop only candidates
+        at most that heavy, and that bound never rises, so a heavier
+        detour could never be picked.  Either way only detours that could
+        not be returned are lost, and :meth:`_spur` shows why the ones
+        that fit come out as the same path, so the result equals the
+        unpruned Yen's (Yen 1971) bit for bit.  Root and candidate
+        weights are running sums over the selected links, not re-summed
+        per candidate.
 
         Raises:
             InvalidParameterError: if ``k < 1``.
@@ -546,35 +587,55 @@ class HeadRouter:
             self._kshort[key] = found
             return list(found)
         first = self._seq(src_head, dst_head)
+        to_dst = self.tree(dst_head)[0]
+        weight = self._weight
+        counts = self.spur_counts
         found = [first]
         seen = {first}
         candidates: list[tuple[int, tuple[NodeId, ...]]] = []
         while len(found) < k:
             base = found[-1]
+            need = k - len(found)
+            cap = max_weight
+            root_w = 0
+            banned: set[NodeId] = set()
             for j in range(len(base) - 1):
-                root = base[: j + 1]
-                budget = max_weight - self.seq_weight(root)
+                if len(candidates) >= need:
+                    cap = min(cap, heapq.nsmallest(need, candidates)[-1][0])
+                if j:
+                    root_w += weight[(base[j - 1], base[j])]
+                    banned.add(base[j - 1])
+                budget = cap - root_w
                 if budget < 0:
                     break
-                banned_edges = {
-                    ((p[j], p[j + 1]) if p[j] < p[j + 1] else (p[j + 1], p[j]))
-                    for p in found
-                    if len(p) > j + 1 and p[: j + 1] == root
+                spur = base[j]
+                root = base[: j + 1]
+                # Yen's edge bans all leave the spur node: the next hops
+                # of the found sequences that share this root.
+                taken = {
+                    p[j + 1] for p in found if len(p) > j + 1 and p[: j + 1] == root
                 }
-                alt = self._spur(
-                    root[-1],
-                    dst_head,
-                    set(root[:-1]),
-                    banned_edges,
-                    limit=budget,
-                )
-                if alt is None:
+                first_hops = [
+                    (w, v)
+                    for w, v in self._adj[spur]
+                    if v not in banned
+                    and v not in taken
+                    and w + to_dst.get(v, UNREACHABLE_W) <= budget
+                ]
+                if not first_hops:
+                    counts["spurs_skipped"] += 1
                     continue
-                seq = root + alt[1:]
+                counts["spur_searches"] += 1
+                hit = self._spur(
+                    spur, dst_head, first_hops, banned, budget, to_dst
+                )
+                if hit is None:
+                    continue
+                seq = root + hit[0][1:]
                 if seq in seen:
                     continue
                 seen.add(seq)
-                heapq.heappush(candidates, (self.seq_weight(seq), seq))
+                heapq.heappush(candidates, (root_w + hit[1], seq))
             if not candidates:
                 break
             _, best = heapq.heappop(candidates)

@@ -48,7 +48,7 @@ from ..core.pipeline import BackboneResult
 from ..errors import InvalidParameterError
 from ..net.oracle import BATCH_BITS, DIST_DTYPE
 from ..net.paths import PathOracle
-from ..obs import publish_counters
+from ..obs import publish_counters, span
 from ..types import DistArray, FloatArray, NodeId, normalize_edge
 from .workloads import Workload
 
@@ -378,47 +378,48 @@ class BatchRouter:
         router = self._router
         seq_of: dict[int, tuple[NodeId, ...]] | None = None
         if balance:
-            # The candidate-independent ("fixed") per-node load: member
-            # legs and intra-cluster walks, charged exactly as the load
-            # accounting will charge them (2·demand per appearance, the
-            # walk's two endpoints at demand).  Seeding the optimizer
-            # with it makes the sum-of-squares deltas track the *true*
-            # node loads, so traffic flows toward genuinely cold CDS
-            # nodes instead of nominally empty ones.
-            fixed = np.zeros(n, dtype=np.float64)
-            dems = workload.demands.astype(np.float64)
-            for i, (s, t, a, b, same) in enumerate(
-                zip(
-                    src.tolist(),
-                    dst.tolist(),
-                    hs.tolist(),
-                    ht.tolist(),
-                    intra.tolist(),
+            with span("balance", flows=workload.num_flows, k_paths=k_paths):
+                # The candidate-independent ("fixed") per-node load: member
+                # legs and intra-cluster walks, charged exactly as the load
+                # accounting will charge them (2·demand per appearance, the
+                # walk's two endpoints at demand).  Seeding the optimizer
+                # with it makes the sum-of-squares deltas track the *true*
+                # node loads, so traffic flows toward genuinely cold CDS
+                # nodes instead of nominally empty ones.
+                fixed = np.zeros(n, dtype=np.float64)
+                dems = workload.demands.astype(np.float64)
+                for i, (s, t, a, b, same) in enumerate(
+                    zip(
+                        src.tolist(),
+                        dst.tolist(),
+                        hs.tolist(),
+                        ht.tolist(),
+                        intra.tolist(),
+                    )
+                ):
+                    d = dems[i]
+                    if same:
+                        for u in leg(s, t):
+                            fixed[u] += 2.0 * d
+                    else:
+                        for u in leg(s, a)[:-1]:
+                            fixed[u] += 2.0 * d
+                        for u in leg(b, t)[1:]:
+                            fixed[u] += 2.0 * d
+                    fixed[s] -= d
+                    fixed[t] -= d
+                seq_of = self._balance(
+                    hs,
+                    ht,
+                    intra,
+                    workload.demands,
+                    fixed,
+                    k_paths=k_paths,
+                    tie_variants=tie_variants,
+                    stretch_bound=stretch_bound,
+                    max_moves=max_moves,
+                    seed=balance_seed,
                 )
-            ):
-                d = dems[i]
-                if same:
-                    for u in leg(s, t):
-                        fixed[u] += 2.0 * d
-                else:
-                    for u in leg(s, a)[:-1]:
-                        fixed[u] += 2.0 * d
-                    for u in leg(b, t)[1:]:
-                        fixed[u] += 2.0 * d
-                fixed[s] -= d
-                fixed[t] -= d
-            seq_of = self._balance(
-                hs,
-                ht,
-                intra,
-                workload.demands,
-                fixed,
-                k_paths=k_paths,
-                tie_variants=tie_variants,
-                stretch_bound=stretch_bound,
-                max_moves=max_moves,
-                seed=balance_seed,
-            )
         walks: list[tuple[NodeId, ...]] = []
         head_paths: list[tuple[NodeId, ...]] = []
         for i, (s, t, a, b, same) in enumerate(
@@ -463,6 +464,45 @@ class BatchRouter:
             shortest=shortest,
             head_paths=head_paths,
         )
+
+    def _candidate_records(
+        self, cand_seqs: list[list[tuple[NodeId, ...]]]
+    ) -> dict[tuple[NodeId, ...], tuple]:
+        """Load records of every distinct candidate head sequence, batched.
+
+        A record is ``(nodes, counts, links, counts @ counts)``: the
+        distinct nodes of the sequence's expanded walk (ascending int64),
+        how often the walk visits each (float64), the sequence's
+        normalized virtual links (sorted) and the sum of squared counts.
+        All walks are concatenated and keyed ``owner * n + node``; one
+        sort of those keys yields every walk's ascending nodes and their
+        counts, exactly what one ``np.unique(walk, return_counts=True)``
+        per walk gives.  The counts are integers, so ``counts @ counts``
+        is exact in any summation order.
+        """
+        n = self._graph.n
+        distinct = list(dict.fromkeys(s for seqs in cand_seqs for s in seqs))
+        walks = [self._router.walk_for_seq(s) for s in distinct]
+        lengths = np.fromiter(
+            (len(w) for w in walks), dtype=np.int64, count=len(walks)
+        )
+        flat = np.fromiter(
+            (v for w in walks for v in w),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        owner = np.repeat(np.arange(len(walks), dtype=np.int64), lengths)
+        keys, counts = np.unique(owner * n + flat, return_counts=True)
+        cuts = np.searchsorted(keys, np.arange(1, len(walks), dtype=np.int64) * n)
+        nodes = np.split(keys % n, cuts)
+        weights = np.split(counts.astype(np.float64), cuts)
+        records: dict[tuple[NodeId, ...], tuple] = {}
+        for seq, un, cnt in zip(distinct, nodes, weights):
+            links = tuple(
+                sorted(normalize_edge(x, y) for x, y in zip(seq, seq[1:]))
+            )
+            records[seq] = (un, cnt, links, float(cnt @ cnt))
+        return records
 
     #: Hottest links examined per balance iteration before declaring
     #: convergence — links colder than the top this-many never reroute.
@@ -510,6 +550,16 @@ class BatchRouter:
            bounded by ``max_moves`` (default 512) and monotone in the
            objective, so it cannot cycle.
 
+        Candidate generation is most of the cost and changes no output
+        bit: Yen's spur searches are goal-bounded by exact distances to
+        the target head (see
+        :meth:`~repro.cds.routing.HeadRouter.k_shortest_sequences`), and
+        the load records of all distinct candidates come from one batched
+        sort (:meth:`_candidate_records`) instead of one ``np.unique`` per
+        walk.  The spur counts land in the ``traffic.balance`` counters
+        (``spur_searches`` / ``spurs_skipped``), not in
+        :attr:`last_balance`.
+
         Returns a map from flow index to its chosen head sequence (every
         inter-cluster flow is present).
         """
@@ -533,28 +583,8 @@ class BatchRouter:
         pair_of = [(int(c // n), int(c % n)) for c in uniq.tolist()]
         group_of = dict(zip(idx.tolist(), inverse.tolist()))
 
-        # Candidate records, shared across groups by sequence:
-        # (unique walk nodes, appearance counts, normalized links,
-        # sum of squared counts).
-        rec_cache: dict[tuple[NodeId, ...], tuple] = {}
-
-        def record(seq: tuple[NodeId, ...]) -> tuple:
-            rec = rec_cache.get(seq)
-            if rec is None:
-                walk = np.asarray(router.walk_for_seq(seq), dtype=np.int64)
-                un, cnt = np.unique(walk, return_counts=True)
-                cnt = cnt.astype(np.float64)
-                links = tuple(
-                    sorted(
-                        normalize_edge(x, y) for x, y in zip(seq, seq[1:])
-                    )
-                )
-                rec = (un, cnt, links, float(cnt @ cnt))
-                rec_cache[seq] = rec
-            return rec
-
+        spurs_before = dict(router.spur_counts)
         cand_seqs: list[list[tuple[NodeId, ...]]] = []
-        cand_recs: list[list[tuple]] = []
         for a, b in pair_of:
             seqs = [router.head_sequence(a, b)]
             for v in range(1, tie_variants + 1):
@@ -577,7 +607,15 @@ class BatchRouter:
                     if seq_k not in seqs:
                         seqs.append(seq_k)
             cand_seqs.append(seqs)
-            cand_recs.append([record(s) for s in seqs])
+        publish_counters(
+            "traffic.balance",
+            {
+                key: router.spur_counts[key] - before
+                for key, before in spurs_before.items()
+            },
+        )
+        records = self._candidate_records(cand_seqs)
+        cand_recs = [[records[s] for s in seqs] for seqs in cand_seqs]
 
         node_load = fixed.astype(np.float64, copy=True)
         link_load: dict[tuple[int, int], float] = {}

@@ -83,6 +83,19 @@ class TestLabelBuild:
         assert "labels" in names
 
 
+class TestBalanceSpan:
+    def test_balance_span_and_spur_counters(self, obs_on):
+        report = run_traffic(n=150, degree=7.0, k=2, flows=300, seed=13, balance=True)
+        (root,) = obs.take_finished()
+        (router,) = [sp for sp in root.walk() if sp.name == "router"]
+        assert [sp.name for sp in router.children] == ["balance"]
+        counters = obs.registry().counter_values()
+        assert counters["traffic.balance.groups"] == report.balance_stats["groups"]
+        searches = counters["traffic.balance.spur_searches"]
+        skipped = counters["traffic.balance.spurs_skipped"]
+        assert searches > 0 and skipped > 0
+
+
 class TestDisabledIdentity:
     def test_disabled_run_matches_enabled_run(self, obs_off):
         base = run_traffic(**RUN)

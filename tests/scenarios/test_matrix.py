@@ -30,7 +30,7 @@ from repro.traffic.mobile import simulate_mobile_traffic
 from repro.traffic.router import BatchRouter
 from repro.traffic.workloads import make_workload
 
-from ..reference import bfs_row, serve_from_reference
+from ..reference import ReferenceBatchRouter, bfs_row, serve_from_reference
 
 K = 2
 ALGORITHM = "AC-LMST"
@@ -139,6 +139,13 @@ def test_static_cell(gen, kind, backend):
         assert all(h in walk_iter for h in seq)
     again = BatchRouter(backbone).route_flows(wl, with_shortest=True, balance=True)
     assert again.walks == balanced.walks
+    # The goal-bounded Yen and batched candidate records change nothing:
+    # the unpruned reference Yen with per-walk records routes identically.
+    reference = ReferenceBatchRouter(backbone)
+    ref = reference.route_flows(wl, with_shortest=True, balance=True)
+    assert ref.walks == balanced.walks
+    assert ref.head_paths == balanced.head_paths
+    assert reference.last_balance == balancer.last_balance
     # Repaired clusterings re-verify: kill one seeded survivor of each
     # role class that exists and push it through the §3.3 ladder (repair
     # runs the full verification battery internally).

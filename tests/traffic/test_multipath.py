@@ -1,5 +1,7 @@
 """Multipath primitives and the load-adaptive ``balance=`` routing mode."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,17 @@ from repro.net.topology import random_topology
 from repro.traffic.load import measure_load
 from repro.traffic.router import BatchRouter
 from repro.traffic.workloads import uniform_pairs
+
+from ..reference import (
+    reference_candidate_records,
+    reference_k_shortest_sequences,
+)
+
+#: Backbones the goal-bounded Yen is checked against the reference on:
+#: a near-tree (AC-LMST), a tree (G-MST) and a cycle-rich mesh (NC-Mesh).
+DIFF_ALGORITHMS = ("AC-LMST", "G-MST", "NC-Mesh")
+#: Weight caps, as multiples of the pair's canonical weight.
+CAP_FACTORS = (math.inf, 1.0, 1.25, 1.5, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +89,91 @@ class TestKShortestSequences:
                 # the walk visits the sequence's heads in order
                 it = iter(walk)
                 assert all(h in it for h in s)
+
+
+class TestYenAgainstReference:
+    """The goal-bounded Yen returns the unpruned reference's lists exactly."""
+
+    @pytest.fixture(scope="class", params=DIFF_ALGORITHMS)
+    def diff_backbone(self, request):
+        topo = random_topology(150, degree=7.0, seed=13)
+        return build_backbone(khop_cluster(topo.graph, 2), request.param)
+
+    def test_every_pair_k_and_cap(self, diff_backbone):
+        hr = HeadRouter(diff_backbone)
+        heads = diff_backbone.heads
+        compared = 0
+        detours = 0
+        for a in heads:
+            for b in heads:
+                canon = max(hr.seq_weight(hr.head_sequence(a, b)), 1)
+                for factor in CAP_FACTORS:
+                    cap = factor * canon
+                    # Unpruned Yen is incremental: the k-list is the
+                    # first k entries of the 5-list.
+                    ref = reference_k_shortest_sequences(
+                        diff_backbone, a, b, 5, max_weight=cap
+                    )
+                    detours += len(ref) > 1
+                    for k in range(1, 6):
+                        got = hr.k_shortest_sequences(a, b, k, max_weight=cap)
+                        assert got == ref[:k], (a, b, k, factor)
+                        compared += 1
+        assert compared == len(heads) ** 2 * len(CAP_FACTORS) * 5
+        # Not vacuous: a connected head graph has detours iff it has a
+        # cycle, i.e. at least as many links as heads.
+        links = len(diff_backbone.selected_links)
+        assert (detours > 0) == (links >= len(heads))
+        # the bound did work: some spur nodes were skipped outright
+        assert hr.spur_counts["spurs_skipped"] > 0
+
+
+class TestLinkWeightContract:
+    def test_any_virtual_link_and_key_error(self, backbone):
+        hr = HeadRouter(backbone)
+        vg = backbone.virtual_graph
+        unselected = [
+            link
+            for link in vg.links()
+            if (link.u, link.v) not in backbone.selected_links
+        ]
+        assert unselected, "fixture backbone should leave some links out"
+        for link in vg.links():
+            assert hr.link_weight(link.u, link.v) == link.weight
+            assert hr.link_weight(link.v, link.u) == link.weight
+        heads = backbone.heads
+        absent = next(
+            (a, b)
+            for a in heads
+            for b in heads
+            if a < b and not vg.has_link(a, b)
+        )
+        with pytest.raises(KeyError):
+            hr.link_weight(*absent)
+
+
+class TestCandidateRecords:
+    def test_batched_records_match_per_walk_unique(self, backbone, head_pairs):
+        br = BatchRouter(backbone)
+        hr = br.router
+        # Overlapping groups, as the balance path builds them: the same
+        # sequence may be a candidate of several groups.
+        cand_seqs = [
+            hr.k_shortest_sequences(a, b, 4)
+            + [hr.alt_sequence(a, b, 8), hr.head_sequence(a, b)]
+            for a, b in head_pairs
+        ]
+        got = br._candidate_records(cand_seqs)
+        want = reference_candidate_records(
+            hr, [s for seqs in cand_seqs for s in seqs]
+        )
+        assert list(got) == list(want)
+        for seq, (un, cnt, links, sq) in want.items():
+            g_un, g_cnt, g_links, g_sq = got[seq]
+            assert g_un.dtype == un.dtype and g_un.tobytes() == un.tobytes()
+            assert g_cnt.dtype == cnt.dtype and g_cnt.tobytes() == cnt.tobytes()
+            assert g_links == links
+            assert g_sq == sq
 
 
 class TestTieVariants:
