@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 #: Sentinel weight for "link absent" in the inheritance link-diff maps
-#: (larger than any real virtual-link weight).
+#: and distance for "unreachable" in the spur searches (larger than any
+#: real virtual-link weight or head distance).
 UNREACHABLE_W = float("inf")
 
 
